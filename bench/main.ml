@@ -693,14 +693,14 @@ let mc ?(smoke = false) () =
 
 (* --------------------------------------------------------------- OBS -- *)
 
-(* Observer overhead: the same memoized exploration with no observers,
-   with the default safety/liveness set, and with every built-in attached.
-   The headline metric is the wall-clock ratio against the unobserved run —
-   the perf acceptance bar for the subsystem is "defaults cost < 10% on the
-   memo engine" (the no-observer path shares no code with the hooks, so an
-   empty set is free by construction). *)
+(* Observer overhead: the same memoized exploration under the default
+   property set (what an empty observer list checks) and with every built-in
+   attached.  The headline metric is the wall-clock ratio of the [all] run
+   against the [default] one: the cost of monitoring more than the paper's
+   correctness notion.  [all] also visits more configurations, because the
+   lockout and max-register digests refine the state space. *)
 let obs ?(smoke = false) () =
-  section "OBS: observer overhead — memo engine, unobserved vs monitored";
+  section "OBS: observer overhead — memo engine, default vs all monitors";
   let protos =
     [
       ("rw", Consensus.Rw_protocol.protocol);
@@ -715,13 +715,7 @@ let obs ?(smoke = false) () =
         match Observer.of_name name with Ok o -> Some o | Error _ -> None)
       Observer.known
   in
-  let sets =
-    [
-      ("none", []);
-      ("default", Observer.defaults);
-      ("all", all_observers);
-    ]
-  in
+  let sets = [ ("default", Observer.defaults); ("all", all_observers) ] in
   Printf.printf "%-10s %-3s %-5s %-9s %10s %10s %9s  %s\n" "protocol" "n" "depth"
     "observers" "configs" "elapsed_s" "overhead" "verdict";
   List.iter
@@ -745,7 +739,7 @@ let obs ?(smoke = false) () =
                 | _ -> ok := false
               done;
               if !ok then begin
-                if observers = [] then base_elapsed := !best;
+                if sname = "default" then base_elapsed := !best;
                 let overhead = !best /. Float.max !base_elapsed 1e-9 in
                 Printf.printf "%-10s %-3d %-5d %-9s %10d %10.4f %8.2fx  ok\n" pname
                   n depth sname !configs !best overhead

@@ -221,9 +221,9 @@ let modelcheck_cmd =
   in
   let observe_arg =
     let doc =
-      "Check these observers instead of the built-in agreement/validity/termination \
-       checks: agreement, validity, solo-termination, lockout, maxreg-monotonic, \
-       recoverable-agreement, recoverable-validity, or `default' (the first three).  \
+      "The observers the exploration checks: agreement, validity, solo-termination, \
+       lockout, maxreg-monotonic, recoverable-agreement, recoverable-validity, or \
+       `default' (the first three).  Empty (the default) checks the default set.  \
        Observers marked unsafe under the chosen --reduce refuse to run unless --force \
        is given."
     in
@@ -842,9 +842,9 @@ let campaign_cmd =
   let observe_arg =
     let doc =
       "Observer names applied to every check task (see `modelcheck --observe'); \
-       empty (the default) keeps the legacy built-in checks.  The observer set is \
-       part of each task's fingerprint, so observed and unobserved sweeps coexist \
-       in one store."
+       empty (the default) checks the default set.  A non-empty observer set is \
+       part of each task's fingerprint, so sweeps under different sets coexist in \
+       one store."
     in
     Arg.(value & opt (some (list string)) None & info [ "observe" ] ~docv:"OBS1,…" ~doc)
   in

@@ -51,4 +51,4 @@ val to_csv : t -> string
 (** One line per record:
     [row,n,kind,engine,reduce,observers,depth,status,configs,probes,elapsed,task]
     — [observers] is the ["+"]-joined observer-name list, empty for the
-    legacy checks. *)
+    default property set ({!Observer.defaults}). *)

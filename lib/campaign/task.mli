@@ -37,10 +37,11 @@ type t = {
       (** observer names ({!Observer.of_names}) checked during [Check]
           work; resolved at {!run} time, so an unknown name yields a
           [Crash] record rather than an exception.  Empty — always the
-          case for [Stress] — means the legacy hard-coded
-          agreement/validity/termination checks.  A non-empty set is part
-          of the task's {!fingerprint}: observed and unobserved runs of
-          the same grid point are distinct store entries. *)
+          case for [Stress] — means the default
+          agreement/validity/solo-termination set ({!Observer.defaults}).
+          A non-empty set is part of the task's {!fingerprint}, so an empty
+          set keeps the store addresses tasks had before observers
+          existed. *)
   work : work;
 }
 

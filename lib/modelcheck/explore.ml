@@ -147,10 +147,9 @@ let kind_name = function
   | `Termination -> "termination"
   | `Observer s -> s
 
-(* Observer verdict kinds name witnesses; the legacy names map back onto the
-   legacy constructors so the observer-driven agreement/validity/probe checks
-   report kinds indistinguishable from the hard-coded path (the differential
-   tests compare them directly). *)
+(* Observer verdict kinds name witnesses; the kinds of the built-in
+   agreement/validity/solo-termination observers map onto the named
+   constructors, every other kind onto [`Observer]. *)
 let kind_of_name : string -> violation_kind = function
   | "agreement" -> `Agreement
   | "validity" -> `Validity
@@ -219,24 +218,11 @@ type 'a verdict =
 
 exception Violation of witness
 
-(* Internal: a property check failed; the engine in whose context it fired
-   attaches the schedule and re-raises [Violation]. *)
-exception Check of violation_kind * string
-
-let checkf kind fmt = Format.kasprintf (fun s -> raise (Check (kind, s))) fmt
-
-let check_decisions ~inputs decisions =
-  match decisions with
-  | [] -> ()
-  | (_, first) :: _ ->
-    List.iter
-      (fun (pid, v) ->
-        if v <> first then
-          checkf `Agreement "agreement: process %d decided %d but %d was also decided" pid v
-            first)
-      decisions;
-    if not (Array.exists (fun i -> i = first) inputs) then
-      checkf `Validity "validity: %d decided but never proposed" first
+(* The property set a run checks: an empty observer list means the paper's
+   correctness notion, [Observer.defaults] (agreement, validity and solo
+   termination).  Every entry point that takes [?observers] resolves it
+   here, once. *)
+let observer_set = function [] -> Observer.defaults | set -> set
 
 (* Mutable per-run counters, shared by all engines (each parallel worker
    gets its own and they are merged at the end). *)
@@ -279,90 +265,12 @@ module Run (P : Consensus.Proto.S) = struct
   let witness_of ~path ~probe (kind, message) =
     { kind; message; schedule = List.rev path; probe }
 
-  let check ~inputs ~path cfg =
-    match check_decisions ~inputs (M.decisions cfg) with
-    | () -> ()
-    | exception Check (k, m) -> raise (Violation (witness_of ~path ~probe:None (k, m)))
-
-  (* One solo probe from [cfg]: run [pid] solo (it must decide —
-     obstruction-freedom), then every other running process solo {e once
-     each} — a non-deciding straggler must surface as a termination
-     violation, not retry the same pid forever — and check the complete
-     decision set.  Returns the final configuration and the violation the
-     probe ran into, if any. *)
-  let probe_steps ~solo_fuel ~inputs cfg pid =
-    let cfg, dec = M.run_solo ~fuel:solo_fuel ~pid cfg in
-    match dec with
-    | None ->
-      ( cfg,
-        Some
-          ( `Obstruction_freedom,
-            Printf.sprintf
-              "obstruction-freedom: process %d did not decide solo within %d steps" pid
-              solo_fuel ) )
-    | Some _ ->
-      let cfg =
-        List.fold_left
-          (fun cfg q -> fst (M.run_solo ~fuel:solo_fuel ~pid:q cfg))
-          cfg (M.running cfg)
-      in
-      (match M.running cfg with
-       | q :: _ ->
-         ( cfg,
-           Some
-             ( `Termination,
-               Printf.sprintf "termination: process %d still undecided after solo runs" q
-             ) )
-       | [] ->
-         (match check_decisions ~inputs (M.decisions cfg) with
-          | () -> (cfg, None)
-          | exception Check (k, m) -> (cfg, Some (k, m))))
-
-  (* The same decision logic as [probe_steps], on a mutable scratch copy
-     ([M.Scratch]) instead of the persistent machine.  Probe steps are the
-     model checker's hot loop — every leaf probes every running process, and
-     each probe chains full solo runs — but none of their intermediate
-     configurations is fingerprinted or branched from, so the in-place
-     workspace does the same stepping several times faster.  [probe_steps]
-     stays as the persistent reference: [replay] uses it (witness replays
-     want the event trace) and the differential tests pin the two paths to
-     identical violations. *)
-  let probe_violation ~solo_fuel ~inputs cfg pid =
-    let s = M.Scratch.of_config cfg in
-    match M.Scratch.run_solo ~fuel:solo_fuel ~pid s with
-    | None ->
-      Some
-        ( `Obstruction_freedom,
-          Printf.sprintf
-            "obstruction-freedom: process %d did not decide solo within %d steps" pid
-            solo_fuel )
-    | Some _ ->
-      List.iter
-        (fun q -> ignore (M.Scratch.run_solo ~fuel:solo_fuel ~pid:q s))
-        (M.Scratch.running s);
-      (match M.Scratch.running s with
-       | q :: _ ->
-         Some
-           ( `Termination,
-             Printf.sprintf "termination: process %d still undecided after solo runs" q )
-       | [] ->
-         (match check_decisions ~inputs (M.Scratch.decisions s) with
-          | () -> None
-          | exception Check (k, m) -> Some (k, m)))
-
-  let probe_one ~solo_fuel ~inputs ~path c cfg pid =
-    c.probes <- c.probes + 1;
-    match probe_violation ~solo_fuel ~inputs cfg pid with
-    | None -> ()
-    | Some v -> raise (Violation (witness_of ~path ~probe:(Some pid) v))
-
   (* ---- observer plumbing ----------------------------------------------
 
-     [obs] is [Some run] iff the caller supplied observers; [None] keeps
-     every engine on the legacy hard-coded checker.  With observers the
-     legacy agreement/validity checks and probe judgments are {e replaced}:
-     the observer set defines the property (the legacy set is
-     [Observer.defaults], differentially pinned by the test suite).
+     The observer set is the engines' only property checker: every engine
+     threads an [Observer.Run.t] alongside the configuration, advances it
+     over each scheduled step, checks its verdict at every visited
+     configuration and feeds it each solo probe's outcome.
 
      Soundness with the transposition table: [obs_key] folds the observer
      digest into both fingerprint lanes — a product construction, the
@@ -405,13 +313,9 @@ module Run (P : Consensus.Proto.S) = struct
     | Some v -> Observer.Run.decide o ~pid ~value:v
     | None -> o
 
-  let obs_advance obs cfg pid cfg' =
-    match obs with None -> None | Some o -> Some (obs_step o cfg pid cfg')
-
   (* A process built from [Proc.return] is decided in the root configuration,
      before any step exists to observe; feed those decisions at creation so
-     the monitors see the same decision sets the legacy checker reads off the
-     configuration. *)
+     the monitors see every decision the configuration holds. *)
   let obs_make set ~inputs root =
     let o = Observer.Run.make set ~n:(Array.length inputs) ~inputs in
     List.fold_left
@@ -424,17 +328,21 @@ module Run (P : Consensus.Proto.S) = struct
     | Some (kind, _liveness, message) ->
       raise (Violation (witness_of ~path ~probe (kind_of_name kind, message)))
 
-  let obs_key obs (a, b) =
-    match obs with
-    | None -> (a, b)
-    | Some o ->
-      let h = Observer.Run.digest o in
-      ((a lxor (h * 0x100000001B3)) land max_int, (b lxor (h * 0x1000193)) land max_int)
+  let obs_key o (a, b) =
+    let h = Observer.Run.digest o in
+    ((a lxor (h * 0x100000001B3)) land max_int, (b lxor (h * 0x1000193)) land max_int)
 
-  (* The probe chain of [probe_violation], summarized as an event for the
-     observers.  Runs on the scratch workspace; config-local — the caller
-     checks the post-probe verdict and discards the state, mirroring the
-     legacy probes (which never mutate the exploration). *)
+  (* One solo probe from [cfg], summarized as an event for the observers:
+     run [pid] solo (it must decide — obstruction-freedom), then every other
+     running process solo {e once each} — a non-deciding straggler must
+     surface as a termination failure, not retry the same pid forever — and
+     report the complete decision set.  Probe steps are the model checker's
+     hot loop (every leaf probes every running process, and each probe
+     chains full solo runs), but none of their intermediate configurations
+     is fingerprinted or branched from, so the chain runs on a mutable
+     scratch copy ([M.Scratch]) several times faster than on the persistent
+     machine.  Config-local: the caller checks the post-probe verdict and
+     discards the state, so probes never mutate the exploration. *)
   let scratch_outcome ~solo_fuel cfg pid =
     let s = M.Scratch.of_config cfg in
     match M.Scratch.run_solo ~fuel:solo_fuel ~pid s with
@@ -584,7 +492,7 @@ module Run (P : Consensus.Proto.S) = struct
                 0 running
           in
           let cfg' = M.step cfg pid in
-          go cfg' (d - 1) (pid :: path) succ_sleep (obs_advance obs cfg pid cfg');
+          go cfg' (d - 1) (pid :: path) succ_sleep (obs_step obs cfg pid cfg');
           asleep := !asleep lor bit
         end)
       running
@@ -629,8 +537,8 @@ module Run (P : Consensus.Proto.S) = struct
      transitions are explored, and the per-configuration work (counting,
      checking, probing) is skipped: it ran when the configuration was first
      visited, and depends only on the configuration. *)
-  let dfs ~reduce ~crash_budget ~probe ~solo_fuel ~inputs ~table ~fpw ~indep ~stop ~obs c
-      cfg depth path =
+  let dfs ~reduce ~crash_budget ~probe ~solo_fuel ~table ~fpw ~indep ~stop ~obs c cfg depth
+      path =
     let rec go cfg d path sleep obs =
       match table with
       | None -> visit cfg d path sleep obs
@@ -650,22 +558,16 @@ module Run (P : Consensus.Proto.S) = struct
     and visit cfg d path sleep obs =
       if stop () then raise Stop;
       c.configs <- c.configs + 1;
-      (match obs with
-       | None -> check ~inputs ~path cfg
-       | Some o -> obs_check ~path ~probe:None o);
+      obs_check ~path ~probe:None obs;
       let at_bound = d <= 0 in
       if M.running_count cfg > 0 then begin
         let running = M.running cfg in
         if at_bound then c.truncated <- true;
         let should_probe =
           (match probe with `Never -> false | `Leaves -> at_bound | `Everywhere -> true)
-          && (match obs with None -> true | Some o -> Observer.Run.wants_probes o)
+          && Observer.Run.wants_probes obs
         in
-        if should_probe then begin
-          match obs with
-          | None -> List.iter (probe_one ~solo_fuel ~inputs ~path c cfg) running
-          | Some o -> List.iter (obs_probe_one ~solo_fuel ~path c cfg o) running
-        end;
+        if should_probe then List.iter (obs_probe_one ~solo_fuel ~path c cfg obs) running;
         if not at_bound then children ~reduce ~indep ~go c cfg d path sleep obs (-1)
       end;
       if at_bound then begin
@@ -705,28 +607,17 @@ module Run (P : Consensus.Proto.S) = struct
             (fun (path, cfg, obs) ->
               if past () then raise Stop;
               c.configs <- c.configs + 1;
-              (match obs with
-               | None -> check ~inputs ~path cfg
-               | Some o -> obs_check ~path ~probe:None o);
+              obs_check ~path ~probe:None obs;
               let stepped =
                 if M.running_count cfg = 0 then []
                 else begin
                   let running = M.running cfg in
-                  let probe_here =
-                    probe = `Everywhere
-                    && (match obs with
-                        | None -> true
-                        | Some o -> Observer.Run.wants_probes o)
-                  in
-                  if probe_here then begin
-                    match obs with
-                    | None -> List.iter (probe_one ~solo_fuel ~inputs ~path c cfg) running
-                    | Some o -> List.iter (obs_probe_one ~solo_fuel ~path c cfg o) running
-                  end;
+                  if probe = `Everywhere && Observer.Run.wants_probes obs then
+                    List.iter (obs_probe_one ~solo_fuel ~path c cfg obs) running;
                   List.map
                     (fun pid ->
                       let cfg' = M.step cfg pid in
-                      (pid :: path, cfg', obs_advance obs cfg pid cfg'))
+                      (pid :: path, cfg', obs_step obs cfg pid cfg'))
                     running
                 end
               in
@@ -799,8 +690,8 @@ module Run (P : Consensus.Proto.S) = struct
       let item i =
         let path, cfg, obs = items.(i) in
         match
-          dfs ~reduce ~crash_budget ~probe ~solo_fuel ~inputs ~table ~fpw ~indep ~stop
-            ~obs wc cfg d path
+          dfs ~reduce ~crash_budget ~probe ~solo_fuel ~table ~fpw ~indep ~stop ~obs wc cfg d
+            path
         with
         | () -> ()
         | exception Violation w ->
@@ -843,9 +734,9 @@ module Run (P : Consensus.Proto.S) = struct
 
   exception Invalid_schedule
 
-  (* [probe_steps]'s persistent chain, summarized as an [Observer]
-     outcome — the replay counterpart of [scratch_outcome] (witness replays
-     want the event trace, so they stay on the persistent machine). *)
+  (* [scratch_outcome]'s probe chain on the persistent machine — the replay
+     counterpart (witness replays want the event trace, so they stay on the
+     persistent machine). *)
   let probe_outcome_steps ~solo_fuel cfg pid =
     let cfg, dec = M.run_solo ~fuel:solo_fuel ~pid cfg in
     match dec with
@@ -861,21 +752,19 @@ module Run (P : Consensus.Proto.S) = struct
        | [] -> (cfg, Observer.Probe_decided { pid; decisions = M.decisions cfg }))
 
   (* Deterministically re-execute a witness from the root: step its schedule
-     pid by pid, then re-run the solo probe if it has one, then re-check.
-     Returns the final configuration and the violation the execution ran
-     into, if any.  Raises [Invalid_schedule] when the schedule names a pid
-     that cannot step, or when [probe] names a pid that is not running at
-     the end of the schedule (a decided or finished process cannot be
-     probed) — possible only for shrink candidates and hand-edited
-     witnesses, never for a witness an engine just reported.
-
-     With [observers] the observer set defines the property, exactly as in
-     the engines: the monitors are advanced over every step and their
-     verdict is checked after each one (the engines check at every visited
-     configuration, so a non-latching observer — e.g. [Observer.lockout] —
-     must be re-checked per step here too); the replay stops at the first
-     violation. *)
-  let replay ?(observers = []) ~record_trace ~solo_fuel ~inputs (w : witness) =
+     pid by pid, then re-run the solo probe if it has one.  The observer set
+     defines the property, exactly as in the engines: the monitors are
+     advanced over every step and their verdict is checked after each one
+     (the engines check at every visited configuration, so a non-latching
+     observer — e.g. [Observer.lockout] — must be re-checked per step here
+     too); the replay stops at the first violation.  Returns the final
+     configuration and the violation the execution ran into, if any.
+     Raises [Invalid_schedule] when the schedule names a pid that cannot
+     step, or when [probe] names a pid that is not running at the end of the
+     schedule (a decided or finished process cannot be probed) — possible
+     only for shrink candidates and hand-edited witnesses, never for a
+     witness an engine just reported. *)
+  let replay ~observers ~record_trace ~solo_fuel ~inputs (w : witness) =
     let n = Array.length inputs in
     (* negative schedule entries are crash–recover events ([crash_code]);
        a crash of a non-crashable process is as invalid as a step of a
@@ -897,40 +786,29 @@ module Run (P : Consensus.Proto.S) = struct
     in
     let probeable cfg pid = pid >= 0 && pid < n && List.mem pid (M.running cfg) in
     let root = root_config ~record_trace ~inputs in
-    match observers with
-    | [] ->
-      let cfg = List.fold_left step root w.schedule in
-      (match w.probe with
-       | Some pid when probeable cfg pid -> probe_steps ~solo_fuel ~inputs cfg pid
-       | Some _ -> raise Invalid_schedule
-       | None ->
-         (match check_decisions ~inputs (M.decisions cfg) with
-          | () -> (cfg, None)
-          | exception Check (k, m) -> (cfg, Some (k, m))))
-    | set ->
-      let violation o =
-        match Observer.Run.verdict o with
-        | None -> None
-        | Some (kind, _liveness, m) -> Some (kind_of_name kind, m)
-      in
-      let rec steps cfg o = function
-        | [] ->
-          (match w.probe with
-           | None -> (cfg, None)
-           | Some pid when probeable cfg pid ->
-             let cfg, outcome = probe_outcome_steps ~solo_fuel cfg pid in
-             (cfg, violation (Observer.Run.probe o outcome))
-           | Some _ -> raise Invalid_schedule)
-        | code :: rest ->
-          let cfg' = step cfg code in
-          (* monitors cross a crash unchanged, as in the engines *)
-          let o = if is_crash code then o else obs_step o cfg code cfg' in
-          (match violation o with
-           | Some v -> (cfg', Some v)
-           | None -> steps cfg' o rest)
-      in
-      let o = obs_make set ~inputs root in
-      (match violation o with Some v -> (root, Some v) | None -> steps root o w.schedule)
+    let violation o =
+      match Observer.Run.verdict o with
+      | None -> None
+      | Some (kind, _liveness, m) -> Some (kind_of_name kind, m)
+    in
+    let rec steps cfg o = function
+      | [] ->
+        (match w.probe with
+         | None -> (cfg, None)
+         | Some pid when probeable cfg pid ->
+           let cfg, outcome = probe_outcome_steps ~solo_fuel cfg pid in
+           (cfg, violation (Observer.Run.probe o outcome))
+         | Some _ -> raise Invalid_schedule)
+      | code :: rest ->
+        let cfg' = step cfg code in
+        (* monitors cross a crash unchanged, as in the engines *)
+        let o = if is_crash code then o else obs_step o cfg code cfg' in
+        (match violation o with
+         | Some v -> (cfg', Some v)
+         | None -> steps cfg' o rest)
+    in
+    let o = obs_make observers ~inputs root in
+    match violation o with Some v -> (root, Some v) | None -> steps root o w.schedule
 
   (* Greedy delta debugging on the schedule: repeatedly delete segments,
      halving the segment size from len/2 down to single steps; a deletion is
@@ -1035,7 +913,7 @@ module Run (P : Consensus.Proto.S) = struct
     and visit cfg d path sleep obs =
       if stop () then raise Stop;
       c.configs <- c.configs + 1;
-      (match obs with None -> () | Some o -> obs_check ~path ~probe:None o);
+      obs_check ~path ~probe:None obs;
       List.iter (fun (_, v) -> Hashtbl.replace seen v ()) (M.decisions cfg);
       if d > 0 then crash_children ~crash_budget ~go cfg d path obs;
       match M.running cfg with
@@ -1062,10 +940,8 @@ module Run (P : Consensus.Proto.S) = struct
                            steps"
                           pid solo_fuel ))))
           running;
-        (match obs with
-         | Some o when Observer.Run.wants_probes o ->
-           List.iter (obs_probe_one ~solo_fuel ~path c cfg o) running
-         | _ -> ());
+        if Observer.Run.wants_probes obs then
+          List.iter (obs_probe_one ~solo_fuel ~path c cfg obs) running;
         if d > 0 then children ~reduce ~indep ~go c cfg d path sleep obs (-1)
     in
     go cfg depth [] 0 obs;
@@ -1086,6 +962,7 @@ let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive) ?(shrink = 
     ?(fingerprint_mode = default_fingerprint_mode) ?(observers = [])
     (module P : Consensus.Proto.S) ~inputs ~depth =
   if crashes < 0 then invalid_arg "Explore.run: negative crash budget";
+  let observers = observer_set observers in
   observer_gate ~reduce ~force observers;
   certify_gate ~reduce ~force ~notify:notify_symmetry (module P) ~inputs ~depth;
   let module R = Run (P) in
@@ -1093,11 +970,7 @@ let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive) ?(shrink = 
   let past = Option.value (past_of ~t0 deadline) ~default:R.no_stop in
   let c = fresh () in
   let root = R.root_config ~record_trace:false ~inputs in
-  let obs =
-    match observers with
-    | [] -> None
-    | set -> Some (R.obs_make set ~inputs root)
-  in
+  let obs = R.obs_make observers ~inputs root in
   let fp_mode = fingerprint_mode in
   let fpw = R.fingerprint_words_fn ~reduce ~inputs ~fp_mode in
   let result =
@@ -1105,10 +978,10 @@ let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive) ?(shrink = 
       let seed = R.static_ops ~reduce ~inputs in
       (match engine with
        | `Naive ->
-         R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel ~inputs ~table:None ~fpw
+         R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel ~table:None ~fpw
            ~indep:(R.make_independent ~seed ()) ~stop:past ~obs c root depth []
        | `Memo ->
-         R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel ~inputs
+         R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel
            ~table:(Some (Transposition.create ~concurrent:false ())) ~fpw
            ~indep:(R.make_independent ~seed ()) ~stop:past ~obs c root depth []
        | `Parallel k ->
@@ -1135,7 +1008,9 @@ type replay_report = {
 let replay ?(solo_fuel = 100_000) ?(observers = []) (module P : Consensus.Proto.S)
     ~inputs w =
   let module R = Run (P) in
-  match R.replay ~observers ~record_trace:true ~solo_fuel ~inputs w with
+  match
+    R.replay ~observers:(observer_set observers) ~record_trace:true ~solo_fuel ~inputs w
+  with
   | cfg, violation -> Ok { violation; events = R.trace_of cfg }
   | exception R.Invalid_schedule ->
     Error
@@ -1154,11 +1029,10 @@ let decidable_values ?(solo_fuel = 100_000) ?(memo = true) ?(shrink = true)
   let past = Option.value (past_of ~t0 deadline) ~default:R.no_stop in
   let c = fresh () in
   let root = R.root_config ~record_trace:false ~inputs in
-  let obs =
-    match observers with
-    | [] -> None
-    | set -> Some (R.obs_make set ~inputs root)
-  in
+  (* the walk checks only the supplied observers (none by default) on top of
+     its own obstruction-freedom raise; a witness replays under the resolved
+     set, whose solo-termination observer reproduces that raise *)
+  let obs = R.obs_make observers ~inputs root in
   let table = if memo then Some (Transposition.create ~concurrent:false ()) else None in
   match
     R.decidable ~reduce ~crash_budget:crashes ~solo_fuel ~inputs ~table
@@ -1167,7 +1041,8 @@ let decidable_values ?(solo_fuel = 100_000) ?(memo = true) ?(shrink = true)
   | values -> Completed values
   | exception Violation w ->
     let stats = stats_of c ~elapsed:(Unix.gettimeofday () -. t0) in
-    Falsified (R.failure ~shrink ~observers ~solo_fuel ~inputs ~stats w)
+    Falsified
+      (R.failure ~shrink ~observers:(observer_set observers) ~solo_fuel ~inputs ~stats w)
   | exception R.Stop ->
     let stats = stats_of c ~elapsed:(Unix.gettimeofday () -. t0) in
     Timed_out { partial = stats; deadline = Option.value deadline ~default:0. }
@@ -1184,6 +1059,7 @@ let deepen ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Memo) ?(budget 
     ?shrink ?(reduce = no_reduction) ?(crashes = 0) ?(force = false) ?notify_symmetry
     ?fingerprint_mode ?(observers = []) proto ~inputs ~max_depth =
   if max_depth < 1 then invalid_arg "Explore.deepen: max_depth < 1";
+  let observers = observer_set observers in
   (* gate (and notify) once at the deepest depth the iteration can reach,
      then let the per-depth runs through — their certificates are implied
      (the per-depth [run]s pass [~force:true], which skips both gates) *)

@@ -1,9 +1,10 @@
 (** The exploration engines behind {!Modelcheck.explore}.
 
     All engines decide the same property — they walk the schedule tree of a
-    protocol to a depth bound, checking agreement/validity at every visited
-    configuration and optionally probing obstruction-freedom (or, with
-    [?observers], whatever property the supplied {!Observer} set monitors) —
+    protocol to a depth bound, checking an {!Observer} set at every visited
+    configuration and feeding it solo probes: by default
+    {!Observer.defaults} (agreement, validity and obstruction-freedom, the
+    paper's §2 correctness notion), or whatever set [?observers] supplies —
     but differ in how much of the tree they actually touch:
 
     - [`Naive] walks every schedule (the original engine).
@@ -105,11 +106,9 @@ exception Observer_unsafe_reduction of { observer : string; reduction : string }
 
 type violation_kind =
   [ `Agreement | `Validity | `Obstruction_freedom | `Termination | `Observer of string ]
-(** [`Observer name] is a violation reported by a custom observer whose
-    verdict kind matches none of the legacy names; the built-in
-    agreement/validity/solo-termination observers report the legacy
-    constructors, so observer-driven runs and the hard-coded checker yield
-    comparable witnesses. *)
+(** The built-in agreement/validity/solo-termination observers report the
+    four named constructors; [`Observer name] is a violation reported by any
+    other observer, under its verdict kind. *)
 
 val kind_name : violation_kind -> string
 (** ["agreement"], ["validity"], ["obstruction-freedom"], ["termination"],
@@ -117,7 +116,7 @@ val kind_name : violation_kind -> string
     message. *)
 
 val kind_of_name : string -> violation_kind
-(** Inverse of {!kind_name}: the four legacy names map to the legacy
+(** Inverse of {!kind_name}: the four built-in kind names map to the named
     constructors, anything else to [`Observer name]. *)
 
 type witness = {
@@ -227,18 +226,16 @@ val run :
     greedy schedule-segment deletion (each candidate kept iff its replay
     still raises the same violation kind).
 
-    [observers] (default [[]]) replaces the hard-coded agreement/validity
-    checks and probe judgments with the supplied {!Observer} set: the
-    monitors are advanced inline over every scheduled step, their verdict is
-    checked at every visited configuration, and solo probes run iff the
-    probe policy allows them {e and} some observer wants them
-    ({!Observer.S.wants_probes}), feeding each probe's outcome to the set.
-    [Observer.defaults] reproduces the legacy checker.  Under [`Memo] and
-    [`Parallel] the observer digest is folded into the transposition key (a
-    product construction), so memoization remains exact; a reduction an
-    observer declares unsafe for itself raises
-    {!Observer_unsafe_reduction} unless [force] is set.  The empty set
-    keeps the engines on the legacy checker, byte for byte.
+    [observers] is the property the run checks; the empty list (the
+    default) means {!Observer.defaults}.  The monitors are advanced inline
+    over every scheduled step, their verdict is checked at every visited
+    configuration, and solo probes run iff the probe policy allows them
+    {e and} some observer wants them ({!Observer.S.wants_probes}), feeding
+    each probe's outcome to the set.  Under [`Memo] and [`Parallel] the
+    observer digest is folded into the transposition key (a product
+    construction), so memoization remains exact; a reduction an observer
+    declares unsafe for itself raises {!Observer_unsafe_reduction} unless
+    [force] is set.
 
     [crashes] (default [0]) is the crash budget of Golab's crash–recovery
     model: at every visited configuration with budget remaining, each
@@ -280,10 +277,10 @@ val replay :
   witness ->
   (replay_report, string) result
 (** Deterministically re-execute a witness from the initial configuration:
-    step its schedule pid by pid, then re-run its solo probe, then re-check
-    agreement/validity — or, with [observers], advance the observer set over
-    every step (checking its verdict after each one, stopping at the first
-    violation) and feed it the probe's outcome.  [Error _] if the schedule
+    step its schedule pid by pid, advancing the observer set ([observers],
+    as in {!run}: empty means {!Observer.defaults}) over every step and
+    checking its verdict after each one, stopping at the first violation;
+    then re-run its solo probe and feed the set the probe's outcome.  [Error _] if the schedule
     names a process that cannot step, or if the witness's [probe] names a
     process that is not running once the schedule has been executed — a
     decided or finished process cannot be probed (only possible for
@@ -314,7 +311,10 @@ val decidable_values :
     ([Falsified]) as an obstruction-freedom failure with a witness.  The
     bivalence walk's own solo probes (which collect the decided values)
     always run regardless of the observer set; supplied observers are
-    checked at every visited configuration on top. *)
+    checked at every visited configuration on top.  Unlike {!run}, an empty
+    [observers] list checks nothing beyond the walk's own
+    obstruction-freedom raise; a witness is replayed and shrunk under
+    {!Observer.defaults}. *)
 
 type deepen_report = {
   depth_reached : int;   (** deepest completed iteration *)

@@ -70,21 +70,19 @@ module Run = struct
 
   (* Transition every member; keep the array (and the whole [t]) physically
      unchanged when every member's state is — stateless observers then cost
-     no allocation per event. *)
+     no allocation per member.  The array is copied only when the first
+     member's state changes. *)
   let update t app =
-    let changed = ref false in
-    let packs =
-      Array.map
-        (fun (P ((module O), s) as p) ->
-          let s' = app.f (module O) s in
-          if s' == s then p
-          else begin
-            changed := true;
-            P ((module O), s')
-          end)
-        t.packs
-    in
-    if !changed then { t with packs } else t
+    let packs = ref t.packs in
+    for i = 0 to Array.length t.packs - 1 do
+      let (P ((module O), s)) = t.packs.(i) in
+      let s' = app.f (module O) s in
+      if s' != s then begin
+        if !packs == t.packs then packs := Array.copy t.packs;
+        !packs.(i) <- P ((module O), s')
+      end
+    done;
+    if !packs == t.packs then t else { t with packs = !packs }
 
   let step t ~pid =
     update t { f = (fun (type s) (module O : S with type state = s) st -> O.on_step st ~pid) }
@@ -131,11 +129,10 @@ end
 (* -------------------------------------------------- built-in observers -- *)
 
 (* Agreement: no two processes decide different values.  The incremental
-   reference value is the chronologically first decision (the legacy checker
-   re-derives it per configuration from the lowest decided pid — the verdict
-   "two distinct decided values exist" is the same either way); a probe's
-   complete decision set is re-checked with the legacy fold so probe-found
-   violations carry the legacy message. *)
+   reference value is the chronologically first decision, kept across
+   crashes: a process that decided, crashed and re-decided differently
+   disagrees with its own earlier decision.  A probe's complete decision set
+   is checked against its lowest-pid decision. *)
 module Agreement = struct
   type state = { first : int option; bad : string option }
 
@@ -198,8 +195,8 @@ module Agreement = struct
 end
 
 (* Validity: every decided value was proposed.  On a probe's decision set
-   only the first decision is checked — exactly what the legacy checker
-   does (a differing invalid decision trips agreement first). *)
+   only the first decision is checked (a differing invalid decision trips
+   agreement first). *)
 module Validity = struct
   type state = { valid : int -> bool; bad : string option }
 
@@ -236,8 +233,7 @@ module Validity = struct
 end
 
 (* Obstruction-freedom as a checked property: the probe chain must complete.
-   Stateless until a probe fails; messages match the legacy checker so the
-   observer path and the legacy path report identical witnesses. *)
+   Stateless until a probe fails. *)
 module Solo_termination = struct
   type state = (string * string) option (* kind, message *)
 

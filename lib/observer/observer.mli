@@ -1,8 +1,6 @@
 (** Composable checked properties over the exploration event stream.
 
-    The model checker historically verified exactly one hard-coded property —
-    consensus agreement/validity, with solo probes for obstruction-freedom.
-    An {e observer} makes the property pluggable: a finite-state monitor
+    An {e observer} is the model checker's unit of checked property: a finite-state monitor
     machine that consumes the events of an exploration (process steps, memory
     accesses, decisions, solo-probe outcomes) and renders a three-way verdict
     at every visited configuration — safety violation, liveness-under-
@@ -56,8 +54,8 @@ type probe_outcome =
   | Probe_starved of { pid : int; straggler : int }
       (** [pid] decided solo, but [straggler] remained undecided after its
           own bounded solo run — a termination failure of the probe chain. *)
-(** The outcome of one solo probe (the legacy probe chain of
-    {!Explore.run}, run on {!Model.Machine.Make.Scratch}). *)
+(** The outcome of one solo probe of {!Explore.run} (the probe chain runs
+    on {!Model.Machine.Make.Scratch}). *)
 
 val probe_pid : probe_outcome -> int
 (** The probed pid the outcome belongs to. *)
@@ -109,8 +107,7 @@ module type S = sig
   val on_probe : state -> probe_outcome -> state
   (** A solo probe ran from the current configuration.  Probe feeding is
       config-local: the engine discards the post-probe state after checking
-      its verdict, mirroring the legacy probes (which never mutate the
-      exploration). *)
+      its verdict, so probes never mutate the exploration. *)
 
   val digest : state -> int
   (** O(1) digest folded into the transposition key; must determine
@@ -125,11 +122,9 @@ val name : t -> string
 
 (** {2 Built-in observers}
 
-    [agreement] and [validity] are the legacy hard-coded checks of
-    {!Explore} as observers (differentially pinned to the old path by the
-    test suite); [solo_termination] is the legacy probe chain's
-    obstruction-freedom/termination judgment; together
-    ({!defaults}) they reproduce the legacy checker exactly. *)
+    [agreement], [validity] and [solo_termination] together ({!defaults})
+    are the consensus correctness notion of the paper (§2) — the property
+    {!Explore} checks when no observers are supplied. *)
 
 val agreement : t
 (** Safety: no two processes decide different values.  Latches on the first
@@ -142,8 +137,7 @@ val solo_termination : t
 (** Liveness (obstruction-freedom, Section 2 of the paper): every probed
     process decides within its solo fuel, and the probe chain's remaining
     processes terminate.  Wants probes; verdict kinds are
-    ["obstruction-freedom"] and ["termination"], matching the legacy
-    checker. *)
+    ["obstruction-freedom"] and ["termination"]. *)
 
 val lockout : ?fair_bound:int -> ?patience:int -> unit -> t
 (** Liveness under fairness ({!Model.Sched.fair} semantics): a process that
@@ -179,8 +173,8 @@ val recoverable_validity : t
     applied to post-crash re-decisions too. *)
 
 val defaults : t list
-(** [[agreement; validity; solo_termination]] — the observer set equivalent
-    to the legacy hard-coded checker. *)
+(** [[agreement; validity; solo_termination]] — the set {!Explore} checks
+    when its [?observers] list is empty. *)
 
 (** {2 Combinators} *)
 
@@ -216,8 +210,8 @@ val of_names : string list -> (t list, string) result
     The packed, immutable multi-observer state the exploration engines
     thread through the walk.  One {!Run.t} value corresponds to one
     configuration; transitions return a new value (physically equal when no
-    member's state changed, so the common stateless case allocates
-    nothing). *)
+    member's state changed, so the common stateless case copies nothing and
+    an event costs the same whatever the number of members). *)
 module Run : sig
   type t
 

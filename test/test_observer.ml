@@ -1,7 +1,7 @@
-(* Tests for the observer subsystem: the differential pin of the built-in
-   observers against the legacy hard-coded checks, the engine × fingerprint
-   × reduction agreement matrix, the combinators, the registry, and the
-   reduction-soundness gate. *)
+(* Tests for the observer subsystem: the registry verdict pin of the default
+   property set, the engine × fingerprint × reduction agreement matrix, the
+   combinators, the registry, the reduction-soundness gate, and the
+   allocation cost of [Observer.Run]. *)
 
 let engines = [ ("naive", `Naive); ("memo", `Memo); ("parallel-2", `Parallel 2) ]
 let fp_modes = [ ("flat", `Flat); ("fold", `Fold) ]
@@ -98,28 +98,57 @@ let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive)
   Explore.run ~probe ~solo_fuel ~engine ~reduce ~fingerprint_mode ~observers ~shrink
     proto ~inputs ~depth
 
-(* 1. The acceptance pin: over the full registry, the default observer set
-   renders the same verdict — including the witness kind — as the legacy
-   hard-coded checker, under all three engines. *)
-let test_legacy_differential () =
+(* 1. The registry pin: the verdict and exact counts of every registry row
+   at n = 3, depth 8, under [`Memo] with the default property set (an empty
+   observer list).  Recorded with the hard-coded agreement/validity/probe
+   checker the observer set replaced; the two agreed on every row. *)
+let registry_golden =
+  [
+    ("tas", "ok", 222, 231);
+    ("write1", "ok", 222, 231);
+    ("write01", "ok", 165, 135);
+    ("rw", "ok", 530, 684);
+    ("tas-reset", "ok", 165, 135);
+    ("swap", "ok", 243, 288);
+    ("buffer-1", "ok", 237, 261);
+    ("multi-1", "ok", 237, 261);
+    ("buffer-2", "ok", 540, 726);
+    ("multi-2", "ok", 540, 726);
+    ("increment", "ok", 457, 591);
+    ("fetch-incr", "ok", 547, 729);
+    ("max-register", "ok", 467, 549);
+    ("cas", "ok", 13, 0);
+    ("set-bit", "ok", 2259, 3987);
+    ("add", "ok", 2240, 3930);
+    ("multiply", "ok", 2240, 3930);
+    ("fetch-add", "ok", 6541, 12390);
+    ("fetch-multiply", "ok", 6541, 12390);
+    ("inc-dec", "ok", 593, 873);
+    ("intro-faa2-tas", "ok", 16, 0);
+    ("intro-dec-mul", "ok", 121, 0);
+  ]
+
+let test_registry_golden () =
   let rows = Hierarchy.rows ~ells:[ 1; 2 ] () in
-  List.iter
-    (fun (row : Hierarchy.row) ->
+  Alcotest.(check (list string))
+    "golden table covers the registry"
+    (List.map (fun (id, _, _, _) -> id) registry_golden)
+    (List.map (fun (row : Hierarchy.row) -> row.id) rows);
+  List.iter2
+    (fun (row : Hierarchy.row) (id, verdict, configs, probes) ->
       let n = 3 in
       let inputs =
         if row.binary_only then Array.init n (fun i -> i land 1)
         else Array.init n (fun i -> i mod n)
       in
-      List.iter
-        (fun (ename, engine) ->
-          let outcome observers =
-            outcome_string (run ~engine ~observers row.protocol ~inputs ~depth:8)
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "%s/%s: default observers == legacy" row.id ename)
-            (outcome []) (outcome Observer.defaults))
-        engines)
-    rows
+      let outcome = run ~engine:`Memo row.protocol ~inputs ~depth:8 in
+      Alcotest.(check string) (id ^ ": verdict") verdict (outcome_string outcome);
+      match outcome with
+      | Explore.Completed s ->
+        Alcotest.(check (pair int int))
+          (id ^ ": configs, probes") (configs, probes) (s.configs, s.probes)
+      | Explore.Falsified _ | Explore.Timed_out _ -> ())
+    rows registry_golden
 
 (* 2. Each built-in observer renders one verdict across engines ×
    fingerprint modes × its sound reductions, on a clean protocol and on the
@@ -348,13 +377,33 @@ let test_observer_witness_replays () =
   | Explore.Falsified _ | Explore.Timed_out _ ->
     Alcotest.fail "deepen with observers failed on cas"
 
+(* 8. [Run.step] over stateless observers allocates nothing per member: the
+   minor words one event costs are the same for a set of 1 and a set of 8
+   (the pack array is copied only when some member's state changes). *)
+let test_run_step_allocation () =
+  let words_per_step set =
+    let o = Observer.Run.make set ~n:2 ~inputs:[| 0; 1 |] in
+    let steps = 10_000 in
+    let sink = ref o in
+    let before = Gc.minor_words () in
+    for i = 1 to steps do
+      sink := Observer.Run.step !sink ~pid:(i land 1)
+    done;
+    let after = Gc.minor_words () in
+    ignore (Sys.opaque_identity !sink);
+    (after -. before) /. float_of_int steps
+  in
+  let one = words_per_step [ Observer.agreement ] in
+  let eight = words_per_step (List.init 8 (fun _ -> Observer.agreement)) in
+  Alcotest.(check (float 0.01)) "minor words per step: 1 vs 8 stateless observers" one eight
+
 let () =
   Alcotest.run "observer"
     [
+      ( "golden",
+        [ Alcotest.test_case "registry verdicts at n=3 d=8" `Quick test_registry_golden ] );
       ( "differential",
         [
-          Alcotest.test_case "defaults == legacy over the registry" `Quick
-            test_legacy_differential;
           Alcotest.test_case "engine x fingerprint x reduction matrix" `Quick
             test_engine_matrix;
         ] );
@@ -372,4 +421,8 @@ let () =
         ] );
       ( "soundness",
         [ Alcotest.test_case "reduction gate" `Quick test_reduction_gate ] );
+      ( "runtime",
+        [
+          Alcotest.test_case "step allocation vs set size" `Quick test_run_step_allocation;
+        ] );
     ]

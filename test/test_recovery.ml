@@ -205,7 +205,7 @@ let test_certify_rc_cas () =
     ]
 
 (* 5. rc-cas at n = 3 under the memoized engine, and the recoverable
-   observers standing in for the legacy checker. *)
+   observers catching the tas-naive flip under their own kinds. *)
 let test_rc_cas_n3_and_observers () =
   (match
      Explore.run ~engine:`Memo ~probe:`Never ~crashes:1 Recovery.cas_durable
@@ -236,6 +236,50 @@ let test_rc_cas_n3_and_observers () =
   | Explore.Falsified f ->
     Alcotest.failf "rc-cas under recoverable observers: %s" (Explore.failure_message f)
   | Explore.Timed_out _ -> Alcotest.fail "rc-cas observer run timed out"
+
+(* 5b. The default property set remembers a crashed process's decision.
+   p0 decides 0, and after a crash it finds its own marker and decides 1;
+   p1 never decides.  No configuration ever holds two different decisions,
+   but the [agreement] observer still has p0's first one. *)
+let flip_after_crash : Consensus.Proto.t =
+  (module struct
+    module I = Isets.Rw
+
+    let name = "flip-after-crash"
+    let locations ~n:_ = Some 2
+
+    let proc ~n:_ ~pid ~input:_ =
+      let open Model.Proc.Syntax in
+      if pid = 0 then
+        let* v = Isets.Rw.read 0 in
+        match v with
+        | Model.Value.Int _ -> Model.Proc.return 1
+        | _ ->
+          let* () = Isets.Rw.write 0 (Model.Value.Int 1) in
+          Model.Proc.return 0
+      else
+        Model.Proc.rec_loop () (fun () ->
+            let* _ = Isets.Rw.read 1 in
+            Model.Proc.return (Either.Left ()))
+  end)
+
+let test_defaults_remember_crashed_decisions () =
+  List.iter
+    (fun (ename, engine) ->
+      match
+        Explore.run ~engine ~probe:`Never ~crashes:1 flip_after_crash ~inputs:[| 0; 1 |]
+          ~depth:6
+      with
+      | Explore.Falsified f ->
+        Alcotest.(check string)
+          (ename ^ ": kind") "agreement" (Explore.kind_name f.witness.kind);
+        Alcotest.(check bool) (ename ^ ": witness replays") true f.reproduced;
+        Alcotest.(check bool)
+          (ename ^ ": witness crashes") true
+          (List.exists Explore.is_crash f.witness.schedule)
+      | Explore.Completed _ -> Alcotest.failf "%s: the re-decision went unseen" ename
+      | Explore.Timed_out _ -> Alcotest.failf "%s: timed out" ename)
+    engines
 
 (* 6. Crash-free identity: a zero budget leaves verdicts and every counter
    exactly as a run without the [crashes] argument; and the flat incremental
@@ -322,6 +366,8 @@ let () =
           Alcotest.test_case "falsify rc-tas-naive" `Quick test_falsify_tas_naive;
           Alcotest.test_case "certify rc-cas" `Quick test_certify_rc_cas;
           Alcotest.test_case "n=3 and observers" `Quick test_rc_cas_n3_and_observers;
+          Alcotest.test_case "defaults remember crashed decisions" `Quick
+            test_defaults_remember_crashed_decisions;
           Alcotest.test_case "crash-free identity" `Quick
             test_crash_free_identity_and_fp_differential;
         ] );
