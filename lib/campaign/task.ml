@@ -128,13 +128,17 @@ let fingerprint t =
     | Check { engine; reduce; depth; probe; crashes } ->
       (* the observer and crash suffixes appear only when non-trivial, so
          every fingerprint minted before those features existed stays
-         valid — crash-free grids address the same store entries as ever *)
+         valid — crash-free grids address the same store entries as ever.
+         The crash suffix is versioned: since [agreement] remembers a
+         crashed process's first decision, crash-budget verdicts are
+         stricter, and records stored under the earlier [/crashes=]
+         address must not answer for them. *)
       Printf.sprintf "check/%s/%s/%d/%s/%d%s%s" (engine_name engine) (reduce_name reduce)
         depth (probe_name probe) t.solo_fuel
         (match t.observe with
          | [] -> ""
          | os -> "/obs=" ^ String.concat "+" os)
-        (if crashes > 0 then Printf.sprintf "/crashes=%d" crashes else "")
+        (if crashes > 0 then Printf.sprintf "/crashes.v2=%d" crashes else "")
     | Stress { seed; prefix; max_burst; fuel } ->
       Printf.sprintf "stress/%d/%d/%d/%d" seed prefix max_burst fuel
   in

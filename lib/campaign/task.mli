@@ -19,7 +19,10 @@ type work =
           (** crash budget for exhaustive crash-point enumeration
               ([Explore.run ?crashes]); [0] — the default everywhere — is
               the crash-free check, whose fingerprint is byte-identical to
-              one minted before the crash subsystem existed *)
+              one minted before the crash subsystem existed; a positive
+              budget's fingerprint carries a versioned suffix, so records
+              stored before [agreement] remembered a crashed process's
+              first decision are not reused *)
     }  (** bounded exhaustive exploration, as in [modelcheck] *)
   | Stress of { seed : int; prefix : int; max_burst : int; fuel : int }
       (** one full run under [Sched.random_bursts ~seed ~max_burst] for

@@ -2,7 +2,7 @@ module Imap = Map.Make (Int)
 module Iset_int = Set.Make (Int)
 
 (* Multiplicative mix (64-bit FNV prime) with an avalanche shift, shared by
-   the per-process history hashes and the slow-path fingerprints. *)
+   the per-process history hashes and the canonical per-process components. *)
 let mix acc h =
   let x = (acc * 0x100000001b3) lxor h in
   x lxor (x lsr 29)
@@ -196,11 +196,8 @@ module Make (I : Iset.S) = struct
      location explicitly written back to the initial value is
      indistinguishable from an untouched one ([cell] returns [I.init]
      either way), so both must fingerprint identically or the model
-     checker's dedup silently misses them.
-
-     The maintained digest reads off in O(1); [slow_fingerprint] recomputes
-     the original fold from scratch and is kept for differential testing
-     (the [SPACE_HIERARCHY_FP=fold] debug path in [Explore]). *)
+     checker's dedup silently misses them.  The maintained digest reads off
+     in O(1). *)
   let fingerprint_words cfg =
     (cfg.mem_a + cfg.hist_a + cfg.epoch_a, cfg.mem_b + cfg.hist_b + cfg.epoch_b)
 
@@ -208,23 +205,6 @@ module Make (I : Iset.S) = struct
     combine
       (cfg.mem_a + cfg.hist_a + cfg.epoch_a)
       (cfg.mem_b + cfg.hist_b + cfg.epoch_b)
-
-  let mem_hash cfg =
-    Imap.fold
-      (fun loc (c, _, _) acc ->
-        if I.equal_cell c I.init then acc else mix (mix acc loc) (I.hash_cell c))
-      cfg.mem 0x517cc1b7
-
-  (* Nonzero epochs fold in with a pid salt; all-zero epochs add nothing,
-     so crash-free values equal the pre-crash-subsystem fold exactly. *)
-  let epochs_hash cfg acc =
-    let acc = ref acc in
-    Array.iteri
-      (fun pid e -> if e > 0 then acc := mix (mix !acc (pid lxor 0xC3A5)) e)
-      cfg.epochs;
-    !acc
-
-  let slow_fingerprint cfg = epochs_hash cfg (Array.fold_left mix (mem_hash cfg) cfg.hist)
 
   (* Quotient the fingerprint by process permutations: hash each process as a
      (input, history, decision) triple and fold the triples in sorted order,
@@ -273,10 +253,6 @@ module Make (I : Iset.S) = struct
   let canonical_fingerprint ~inputs cfg =
     let a, b = canonical_fingerprint_words ~inputs cfg in
     combine a b
-
-  let slow_canonical_fingerprint ~inputs cfg =
-    let comp = canonical_components ~inputs cfg in
-    Array.fold_left mix (mem_hash cfg) comp
 
   let trace cfg = List.rev cfg.trace
 

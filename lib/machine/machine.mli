@@ -102,20 +102,15 @@ module Make (I : Iset.S) : sig
       two-lane digest on the written cell and the stepping process's
       history slot, so reading it here is O(1) — no per-call fold over
       memory.  [I.hash_cell] runs once per write; the per-cell
-      contributions are cached alongside the cells. *)
+      contributions are cached alongside the cells.  The tests check that
+      it partitions reachable configurations exactly as a key read off
+      {!fold_cells}, {!trace}, {!decision} and {!epoch} does. *)
 
   val fingerprint_words : 'a config -> int * int
   (** The two raw 63-bit digest lanes behind {!fingerprint}.  The lanes
       avalanche independently, so keying on the pair is a 126-bit digest —
       what the model checker's transposition tables use to make collisions
       negligible (and to pick a shard from the low bits). *)
-
-  val slow_fingerprint : 'a config -> int
-  (** The original from-scratch fingerprint fold (O(mem + n) per call).
-      Its {e value} differs from {!fingerprint} — only the induced
-      partition of configurations matters — and it is retained purely as
-      the differential-testing reference for the incremental digest (the
-      [SPACE_HIERARCHY_FP=fold] debug path in [Explore]). *)
 
   val canonical_fingerprint : inputs:int array -> 'a config -> int
   (** Like {!fingerprint}, but quotiented by process symmetry: each process
@@ -142,10 +137,6 @@ module Make (I : Iset.S) : sig
   val canonical_fingerprint_words : inputs:int array -> 'a config -> int * int
   (** Two-lane variant of {!canonical_fingerprint}, mirroring
       {!fingerprint_words}. *)
-
-  val slow_canonical_fingerprint : inputs:int array -> 'a config -> int
-  (** From-scratch reference fold for {!canonical_fingerprint}, kept for
-      differential testing like {!slow_fingerprint}. *)
 
   type event =
     | Step of {

@@ -16,10 +16,9 @@
      another, which is what domain-local tables used to do.
 
    Fingerprints are read off the machine's incrementally maintained
-   two-lane digest (O(1) per configuration).  Setting the environment
-   variable [SPACE_HIERARCHY_FP=fold] (or passing [~fingerprint_mode:`Fold])
-   switches every engine to the original from-scratch fingerprint fold —
-   the debug path the differential tests compare against.
+   two-lane digest (O(1) per configuration).  The tests check the partition
+   it induces against an independent key built from [Machine]'s public
+   accessors.
 
    Every engine threads the schedule — the list of pids stepped from the
    root, plus the pid of the solo probe that exposed the violation, if any —
@@ -69,14 +68,6 @@
 
 type engine = [ `Naive | `Memo | `Parallel of int ]
 type probe_policy = [ `Leaves | `Everywhere | `Never ]
-type fingerprint_mode = [ `Flat | `Fold ]
-
-(* The debug escape hatch: [SPACE_HIERARCHY_FP=fold] forces every engine
-   onto the original from-scratch fingerprint fold, read once at load. *)
-let default_fingerprint_mode : fingerprint_mode =
-  match Sys.getenv_opt "SPACE_HIERARCHY_FP" with
-  | Some ("fold" | "FOLD" | "slow") -> `Fold
-  | _ -> `Flat
 
 type reduction = { commute : bool; symmetric : bool }
 
@@ -363,22 +354,10 @@ module Run (P : Consensus.Proto.S) = struct
   exception Stop
 
   (* The two-word fingerprint the transposition table keys on: plain, or
-     quotiented by process symmetry when the reduction asks for it.  In
-     [`Fold] mode the original from-scratch single-word fold is used for
-     both lanes — the reference the differential tests compare the
-     incremental digest against. *)
-  let fingerprint_words_fn ~reduce ~inputs ~fp_mode =
-    match (fp_mode : fingerprint_mode) with
-    | `Flat ->
-      if reduce.symmetric then M.canonical_fingerprint_words ~inputs
-      else M.fingerprint_words
-    | `Fold ->
-      if reduce.symmetric then fun cfg ->
-        let h = M.slow_canonical_fingerprint ~inputs cfg in
-        (h, h)
-      else fun cfg ->
-        let h = M.slow_fingerprint cfg in
-        (h, h)
+     quotiented by process symmetry when the reduction asks for it. *)
+  let fingerprint_words_fn ~reduce ~inputs =
+    if reduce.symmetric then M.canonical_fingerprint_words ~inputs
+    else M.fingerprint_words
 
   (* Interned-op independence for the sleep-set filter: each domain interns
      the ops it encounters to dense ids ([Model.Intern]) and keeps an
@@ -594,9 +573,9 @@ module Run (P : Consensus.Proto.S) = struct
      every worker joins before a verdict is produced, so a claim whose
      exploration was cut short can only coexist with a [Falsified] or
      [Timed_out] verdict, never launder an incomplete [Completed]. *)
-  let parallel ~reduce ~crash_budget ~domains ~probe ~solo_fuel ~inputs ~fp_mode ~past
-      ~obs c root depth =
-    let fpw = fingerprint_words_fn ~reduce ~inputs ~fp_mode in
+  let parallel ~reduce ~crash_budget ~domains ~probe ~solo_fuel ~inputs ~past ~obs c root
+      depth =
+    let fpw = fingerprint_words_fn ~reduce ~inputs in
     let domains = max 1 domains in
     let target = max 16 (4 * domains) in
     let rec prefix level d =
@@ -889,27 +868,24 @@ module Run (P : Consensus.Proto.S) = struct
      configuration or decidable by a solo continuation from one.  Sound to
      prune on the fingerprint table because equal fingerprints imply equal
      future behaviour, hence equal decidable-value contributions. *)
-  let decidable ~reduce ~crash_budget ~solo_fuel ~inputs ~table ~fp_mode ~stop ~obs c cfg
-      depth =
-    let fpw = fingerprint_words_fn ~reduce ~inputs ~fp_mode in
+  let decidable ~reduce ~crash_budget ~solo_fuel ~inputs ~stop ~obs c cfg depth =
+    let fpw = fingerprint_words_fn ~reduce ~inputs in
     let indep = make_independent ~seed:(static_ops ~reduce ~inputs) () in
+    let tbl = Transposition.create ~concurrent:false () in
     let seen = Hashtbl.create 7 in
     let rec go cfg d path sleep obs =
-      match table with
-      | None -> visit cfg d path sleep obs
-      | Some tbl ->
-        let a, b = obs_key obs (fpw cfg) in
-        (match Transposition.plan tbl a b ~depth:d ~sleep with
-         | Transposition.Hit -> c.hits <- c.hits + 1
-         | Transposition.Visit -> visit cfg d path sleep obs
-         | Transposition.Partial inter ->
-           (* decisions and probes ran when this configuration was first
-              visited; only the transitions every adequate prior pass left
-              asleep still need subtrees *)
-           c.hits <- c.hits + 1;
-           if stop () then raise Stop;
-           if d > 0 && M.running_count cfg > 0 then
-             children ~reduce ~indep ~go c cfg d path sleep obs inter)
+      let a, b = obs_key obs (fpw cfg) in
+      match Transposition.plan tbl a b ~depth:d ~sleep with
+      | Transposition.Hit -> c.hits <- c.hits + 1
+      | Transposition.Visit -> visit cfg d path sleep obs
+      | Transposition.Partial inter ->
+        (* decisions and probes ran when this configuration was first
+           visited; only the transitions every adequate prior pass left
+           asleep still need subtrees *)
+        c.hits <- c.hits + 1;
+        if stop () then raise Stop;
+        if d > 0 && M.running_count cfg > 0 then
+          children ~reduce ~indep ~go c cfg d path sleep obs inter
     and visit cfg d path sleep obs =
       if stop () then raise Stop;
       c.configs <- c.configs + 1;
@@ -959,8 +935,7 @@ let past_of ~t0 = function
 
 let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive) ?(shrink = true)
     ?(reduce = no_reduction) ?(crashes = 0) ?(force = false) ?notify_symmetry ?deadline
-    ?(fingerprint_mode = default_fingerprint_mode) ?(observers = [])
-    (module P : Consensus.Proto.S) ~inputs ~depth =
+    ?(observers = []) (module P : Consensus.Proto.S) ~inputs ~depth =
   if crashes < 0 then invalid_arg "Explore.run: negative crash budget";
   let observers = observer_set observers in
   observer_gate ~reduce ~force observers;
@@ -971,8 +946,7 @@ let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive) ?(shrink = 
   let c = fresh () in
   let root = R.root_config ~record_trace:false ~inputs in
   let obs = R.obs_make observers ~inputs root in
-  let fp_mode = fingerprint_mode in
-  let fpw = R.fingerprint_words_fn ~reduce ~inputs ~fp_mode in
+  let fpw = R.fingerprint_words_fn ~reduce ~inputs in
   let result =
     try
       let seed = R.static_ops ~reduce ~inputs in
@@ -986,7 +960,7 @@ let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive) ?(shrink = 
            ~indep:(R.make_independent ~seed ()) ~stop:past ~obs c root depth []
        | `Parallel k ->
          R.parallel ~reduce ~crash_budget:crashes ~domains:k ~probe ~solo_fuel ~inputs
-           ~fp_mode ~past ~obs c root depth);
+           ~past ~obs c root depth);
       `Done
     with
     | Violation w -> `Violation w
@@ -1017,9 +991,8 @@ let replay ?(solo_fuel = 100_000) ?(observers = []) (module P : Consensus.Proto.
       "invalid witness: the schedule names a process that cannot step, or the probe \
        names a process that is not running"
 
-let decidable_values ?(solo_fuel = 100_000) ?(memo = true) ?(shrink = true)
-    ?(reduce = no_reduction) ?(crashes = 0) ?(force = false) ?notify_symmetry ?deadline
-    ?(fingerprint_mode = default_fingerprint_mode) ?(observers = [])
+let decidable_values ?(solo_fuel = 100_000) ?(shrink = true) ?(reduce = no_reduction)
+    ?(crashes = 0) ?(force = false) ?notify_symmetry ?deadline ?(observers = [])
     (module P : Consensus.Proto.S) ~inputs ~depth =
   if crashes < 0 then invalid_arg "Explore.decidable_values: negative crash budget";
   observer_gate ~reduce ~force observers;
@@ -1033,10 +1006,9 @@ let decidable_values ?(solo_fuel = 100_000) ?(memo = true) ?(shrink = true)
      its own obstruction-freedom raise; a witness replays under the resolved
      set, whose solo-termination observer reproduces that raise *)
   let obs = R.obs_make observers ~inputs root in
-  let table = if memo then Some (Transposition.create ~concurrent:false ()) else None in
   match
-    R.decidable ~reduce ~crash_budget:crashes ~solo_fuel ~inputs ~table
-      ~fp_mode:fingerprint_mode ~stop:past ~obs c root depth
+    R.decidable ~reduce ~crash_budget:crashes ~solo_fuel ~inputs ~stop:past ~obs c root
+      depth
   with
   | values -> Completed values
   | exception Violation w ->
@@ -1057,7 +1029,7 @@ type deepen_report = {
 
 let deepen ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Memo) ?(budget = 1.0)
     ?shrink ?(reduce = no_reduction) ?(crashes = 0) ?(force = false) ?notify_symmetry
-    ?fingerprint_mode ?(observers = []) proto ~inputs ~max_depth =
+    ?(observers = []) proto ~inputs ~max_depth =
   if max_depth < 1 then invalid_arg "Explore.deepen: max_depth < 1";
   let observers = observer_set observers in
   (* gate (and notify) once at the deepest depth the iteration can reach,
@@ -1074,9 +1046,8 @@ let deepen ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Memo) ?(budget 
       (* the remaining budget bounds each iteration, so one oversized
          iteration can no longer blow past the budget *)
       match
-        run ~probe ~solo_fuel ~engine ?shrink ~reduce ~crashes ~force:true
-          ?fingerprint_mode ~observers ~deadline:(budget -. elapsed ()) proto ~inputs
-          ~depth:d
+        run ~probe ~solo_fuel ~engine ?shrink ~reduce ~crashes ~force:true ~observers
+          ~deadline:(budget -. elapsed ()) proto ~inputs ~depth:d
       with
       | Falsified f -> Falsified f
       | Timed_out t ->

@@ -36,19 +36,6 @@
 type engine = [ `Naive | `Memo | `Parallel of int ]
 type probe_policy = [ `Leaves | `Everywhere | `Never ]
 
-type fingerprint_mode = [ `Flat | `Fold ]
-(** Which fingerprint implementation keys the transposition tables:
-    [`Flat] (the default) reads the machine's incrementally maintained
-    two-lane digest in O(1) per configuration; [`Fold] recomputes the
-    original from-scratch fold ({!Model.Machine.Make.slow_fingerprint})
-    every time — the debug/differential-testing reference.  Verdicts,
-    witness schedules and decidable-value sets are identical in both modes
-    (modulo hash collisions); only speed differs. *)
-
-val default_fingerprint_mode : fingerprint_mode
-(** [`Fold] when the environment variable [SPACE_HIERARCHY_FP] is set to
-    ["fold"] at load time, else [`Flat]. *)
-
 type reduction = {
   commute : bool;
       (** Commutativity reduction via sleep sets: when two enabled processes
@@ -207,7 +194,6 @@ val run :
   ?force:bool ->
   ?notify_symmetry:(Analysis.Symmetry.verdict -> unit) ->
   ?deadline:float ->
-  ?fingerprint_mode:fingerprint_mode ->
   ?observers:Observer.t list ->
   Consensus.Proto.t ->
   inputs:int array ->
@@ -288,14 +274,12 @@ val replay :
 
 val decidable_values :
   ?solo_fuel:int ->
-  ?memo:bool ->
   ?shrink:bool ->
   ?reduce:reduction ->
   ?crashes:int ->
   ?force:bool ->
   ?notify_symmetry:(Analysis.Symmetry.verdict -> unit) ->
   ?deadline:float ->
-  ?fingerprint_mode:fingerprint_mode ->
   ?observers:Observer.t list ->
   Consensus.Proto.t ->
   inputs:int array ->
@@ -304,17 +288,16 @@ val decidable_values :
 (** The set of values some solo continuation decides from some configuration
     reachable within [depth] steps — ≥ 2 values demonstrate bivalence
     (Lemma 6.4).  Runs on the same fingerprint transposition table as the
-    [`Memo] engine (disable with [memo:false] to get the naive walk) and
-    honours [reduce], [crashes], [deadline] and [observers] like {!run} — reductions
-    preserve the decidable-value set because every reachable configuration
-    is still probed; a process that fails to decide solo is reported
-    ([Falsified]) as an obstruction-freedom failure with a witness.  The
-    bivalence walk's own solo probes (which collect the decided values)
-    always run regardless of the observer set; supplied observers are
-    checked at every visited configuration on top.  Unlike {!run}, an empty
-    [observers] list checks nothing beyond the walk's own
-    obstruction-freedom raise; a witness is replayed and shrunk under
-    {!Observer.defaults}. *)
+    [`Memo] engine and honours [reduce], [crashes], [deadline] and
+    [observers] like {!run} — reductions preserve the decidable-value set
+    because every reachable configuration is still probed; a process that
+    fails to decide solo is reported ([Falsified]) as an obstruction-freedom
+    failure with a witness.  The bivalence walk's own solo probes (which
+    collect the decided values) always run regardless of the observer set;
+    supplied observers are checked at every visited configuration on top.
+    Unlike {!run}, an empty [observers] list checks nothing beyond the
+    walk's own obstruction-freedom raise; a witness is replayed and shrunk
+    under {!Observer.defaults}. *)
 
 type deepen_report = {
   depth_reached : int;   (** deepest completed iteration *)
@@ -334,7 +317,6 @@ val deepen :
   ?crashes:int ->
   ?force:bool ->
   ?notify_symmetry:(Analysis.Symmetry.verdict -> unit) ->
-  ?fingerprint_mode:fingerprint_mode ->
   ?observers:Observer.t list ->
   Consensus.Proto.t ->
   inputs:int array ->

@@ -4,8 +4,6 @@ type stats = {
   truncated : bool;
 }
 
-exception Violation of string
-
 let failure_message = Explore.failure_message
 
 (* The exploration engines live in [Explore]; this is the historical entry
@@ -31,7 +29,7 @@ let explore ?probe ?solo_fuel ?engine ?shrink ?reduce ?crashes ?force ?notify_sy
 let decidable_values ?solo_fuel ?reduce ?crashes ?force ?notify_symmetry ?deadline
     ?observers p ~inputs ~depth =
   match
-    Explore.decidable_values ?solo_fuel ~memo:true ?reduce ?crashes ?force
+    Explore.decidable_values ?solo_fuel ?reduce ?crashes ?force
       ?notify_symmetry ?deadline ?observers p ~inputs ~depth
   with
   | Explore.Completed vs -> Ok vs
@@ -40,32 +38,3 @@ let decidable_values ?solo_fuel ?reduce ?crashes ?force ?notify_symmetry ?deadli
     Error
       (Printf.sprintf "timed out after %.3gs (%d configurations visited)" t.deadline
          t.partial.configs)
-
-(* The original unmemoized walk, kept verbatim as the reference
-   implementation for differential testing of the port above. *)
-let decidable_values_naive ?(solo_fuel = 100_000) (module P : Consensus.Proto.S) ~inputs
-    ~depth =
-  let module M = Model.Machine.Make (P.I) in
-  let n = Array.length inputs in
-  let seen = Hashtbl.create 7 in
-  let rec go cfg d =
-    List.iter (fun (_, v) -> Hashtbl.replace seen v ()) (M.decisions cfg);
-    match M.running cfg with
-    | [] -> ()
-    | running ->
-      List.iter
-        (fun pid ->
-          match M.run_solo ~fuel:solo_fuel ~pid cfg with
-          | _, Some v -> Hashtbl.replace seen v ()
-          | _, None ->
-            raise
-              (Violation
-                 (Printf.sprintf "process %d did not decide solo within %d steps" pid
-                    solo_fuel)))
-        running;
-      if d > 0 then List.iter (fun pid -> go (M.step cfg pid) (d - 1)) running
-  in
-  let cfg = M.make ~record_trace:false ~n (fun pid -> P.proc ~n ~pid ~input:inputs.(pid)) in
-  match go cfg depth with
-  | () -> Ok (List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) seen []))
-  | exception Violation msg -> Error msg

@@ -86,13 +86,3 @@ val decidable_values :
     once; [reduce] as in {!explore}.  [deadline] as in {!explore}, but
     flattened to [Error _]: a partial value set would not witness anything,
     so a timeout here is just a failure to answer. *)
-
-val decidable_values_naive :
-  ?solo_fuel:int ->
-  Consensus.Proto.t ->
-  inputs:int array ->
-  depth:int ->
-  (int list, string) result
-(** The original unmemoized walk of every schedule — kept as the reference
-    implementation that {!decidable_values} is differentially tested
-    against.  Prefer {!decidable_values}. *)

@@ -356,6 +356,16 @@ let test_crash_tasks () =
     (Campaign.Task.fingerprint (check ~crashes:0 ()));
   Alcotest.(check bool) "a positive budget changes the fingerprint" false
     (Campaign.Task.fingerprint plain = Campaign.Task.fingerprint (check ~crashes:1 ()));
+  (* pinned values: the crash-free address is the historical one, while a
+     crash budget moved off the address its records had before [agreement]
+     remembered a crashed process's first decision (0d1465f0fb5ff6f9), so a
+     store written then cannot serve its laxer verdicts *)
+  Alcotest.(check string) "crash-free fingerprint pinned" "09851eb436138154"
+    (Campaign.Task.fingerprint plain);
+  let crashy = Campaign.Task.fingerprint (check ~crashes:1 ()) in
+  Alcotest.(check string) "crashes=1 fingerprint pinned" "1e7100d9bba0525a" crashy;
+  Alcotest.(check bool) "crashes=1 left its pre-agreement-fix address" false
+    (crashy = "0d1465f0fb5ff6f9");
   let mk crashes =
     Campaign.Record.make ~task:"0123456789abcdef" ~kind:"check" ~row:"rc-cas"
       ~protocol:"rc-cas" ~n:2 ~depth:14 ~engine:"memo" ~reduce:"none" ~crashes

@@ -406,7 +406,7 @@ let test_decidable_memo_differential () =
   List.iter
     (fun (name, proto, inputs, depth) ->
       let memo = Modelcheck.decidable_values proto ~inputs ~depth in
-      let naive = Modelcheck.decidable_values_naive proto ~inputs ~depth in
+      let naive = Reference.decidable_values_naive proto ~inputs ~depth in
       match (memo, naive) with
       | Ok m, Ok n -> Alcotest.(check (list int)) (name ^ ": same value set") n m
       | Error e, _ -> Alcotest.fail (name ^ ": memoized walk failed: " ^ e)
@@ -417,7 +417,7 @@ let test_decidable_memo_differential () =
       ~depth:2
   in
   let naive =
-    Modelcheck.decidable_values_naive ~solo_fuel:200 broken_nonterminating
+    Reference.decidable_values_naive ~solo_fuel:200 broken_nonterminating
       ~inputs:[| 0; 1 |] ~depth:2
   in
   (match (memo, naive) with
@@ -515,7 +515,7 @@ let test_reduce_decidable_values () =
   in
   List.iter
     (fun (name, proto, inputs, depth) ->
-      let reference = Modelcheck.decidable_values_naive proto ~inputs ~depth in
+      let reference = Reference.decidable_values_naive proto ~inputs ~depth in
       List.iter
         (fun (rname, reduce) ->
           match (Modelcheck.decidable_values ~reduce proto ~inputs ~depth, reference) with

@@ -1,10 +1,9 @@
 (* Tests for the observer subsystem: the registry verdict pin of the default
-   property set, the engine × fingerprint × reduction agreement matrix, the
-   combinators, the registry, the reduction-soundness gate, and the
-   allocation cost of [Observer.Run]. *)
+   property set, the engine × reduction agreement matrix, the combinators,
+   the registry, the reduction-soundness gate, and the allocation cost of
+   [Observer.Run]. *)
 
 let engines = [ ("naive", `Naive); ("memo", `Memo); ("parallel-2", `Parallel 2) ]
-let fp_modes = [ ("flat", `Flat); ("fold", `Fold) ]
 
 (* ------------------------------------------------- violating fixtures -- *)
 
@@ -93,10 +92,9 @@ let outcome_string = function
   | Explore.Timed_out _ -> "timeout"
 
 let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive)
-    ?(reduce = Explore.no_reduction) ?(fingerprint_mode = `Flat) ?(observers = [])
-    ?(shrink = false) proto ~inputs ~depth =
-  Explore.run ~probe ~solo_fuel ~engine ~reduce ~fingerprint_mode ~observers ~shrink
-    proto ~inputs ~depth
+    ?(reduce = Explore.no_reduction) ?(observers = []) ?(shrink = false) proto ~inputs
+    ~depth =
+  Explore.run ~probe ~solo_fuel ~engine ~reduce ~observers ~shrink proto ~inputs ~depth
 
 (* 1. The registry pin: the verdict and exact counts of every registry row
    at n = 3, depth 8, under [`Memo] with the default property set (an empty
@@ -150,10 +148,10 @@ let test_registry_golden () =
       | Explore.Falsified _ | Explore.Timed_out _ -> ())
     rows registry_golden
 
-(* 2. Each built-in observer renders one verdict across engines ×
-   fingerprint modes × its sound reductions, on a clean protocol and on the
-   protocol built to violate it.  Symmetric reduction is exercised only
-   where the protocol certifies pid-symmetric AND the observer permits it. *)
+(* 2. Each built-in observer renders one verdict across engines × its sound
+   reductions, on a clean protocol and on the protocol built to violate it.
+   Symmetric reduction is exercised only where the protocol certifies
+   pid-symmetric AND the observer permits it. *)
 let matrix_cases =
   (* (label, proto, inputs, depth, probe, solo_fuel, symmetric_certifiable) *)
   [
@@ -197,19 +195,15 @@ let test_engine_matrix () =
           List.iter
             (fun (ename, engine) ->
               List.iter
-                (fun (fname, fingerprint_mode) ->
-                  List.iter
-                    (fun (rname, reduce) ->
-                      if rname <> "symmetric" || certifiable then
-                        Alcotest.(check string)
-                          (Printf.sprintf "%s on %s: %s/%s/%s" O.name cname ename
-                             fname rname)
-                          reference
-                          (outcome_string
-                             (run ~probe ~solo_fuel ~engine ~reduce ~fingerprint_mode
-                                ~observers:[ obs ] proto ~inputs ~depth)))
-                    reductions)
-                fp_modes)
+                (fun (rname, reduce) ->
+                  if rname <> "symmetric" || certifiable then
+                    Alcotest.(check string)
+                      (Printf.sprintf "%s on %s: %s/%s" O.name cname ename rname)
+                      reference
+                      (outcome_string
+                         (run ~probe ~solo_fuel ~engine ~reduce ~observers:[ obs ] proto
+                            ~inputs ~depth)))
+                reductions)
             engines)
         matrix_cases)
     observers
@@ -404,7 +398,7 @@ let () =
         [ Alcotest.test_case "registry verdicts at n=3 d=8" `Quick test_registry_golden ] );
       ( "differential",
         [
-          Alcotest.test_case "engine x fingerprint x reduction matrix" `Quick
+          Alcotest.test_case "engine x reduction matrix" `Quick
             test_engine_matrix;
         ] );
       ( "violations",

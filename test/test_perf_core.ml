@@ -1,80 +1,83 @@
 (* Differential tests for the raw-speed pass over the exploration core:
-   the maintained flat fingerprint vs the reference fold, the Scratch probe
-   workspace vs the persistent machine, the sharded transposition table and
-   symmetry cache under concurrent domains, op interning, and the Bignum
-   small-operand fast paths. *)
+   the maintained flat fingerprint vs an independent public-API key, the
+   Scratch probe workspace vs the persistent machine, the sharded
+   transposition table and symmetry cache under concurrent domains, op
+   interning, and the Bignum small-operand fast paths. *)
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprint partition agreement.
 
-   The flat (incrementally maintained) fingerprint and the from-scratch
-   reference fold produce different *values* by design; what must coincide
-   is the partition they induce over reachable configurations: two configs
-   get equal flat fingerprints iff they get equal slow fingerprints.  We
-   enumerate the schedule tree of every registry protocol and check both
-   directions, for the plain and the canonical (pid-symmetric) variants. *)
+   The incrementally maintained fingerprint and the structural key of
+   [Reference.Key] are different kinds of value; what must coincide is the
+   partition they induce over reachable configurations: two configs get
+   equal fingerprints iff they get equal keys.  We enumerate the schedule
+   tree of every registry row, recoverable rows included, with
+   crash–recover successors of every crashable process up to a 2-crash
+   budget, and check both directions for the plain and the canonical
+   (pid-symmetric) variants: recovery epochs and the history reset a crash
+   performs must neither split nor conflate configurations. *)
 
 let check_partition name pairs =
-  let by_flat = Hashtbl.create 97 and by_slow = Hashtbl.create 97 in
+  let by_fp = Hashtbl.create 97 and by_key = Hashtbl.create 97 in
   List.iter
-    (fun (f, s) ->
-      (match Hashtbl.find_opt by_flat f with
-      | Some s' ->
-        if s' <> s then
-          Alcotest.failf "%s: flat fp %d maps to slow fps %d and %d" name f s' s
-      | None -> Hashtbl.add by_flat f s);
-      match Hashtbl.find_opt by_slow s with
-      | Some f' ->
-        if f' <> f then
-          Alcotest.failf "%s: slow fp %d maps to flat fps %d and %d" name s f' f
-      | None -> Hashtbl.add by_slow s f)
+    (fun (fp, key) ->
+      (match Hashtbl.find_opt by_fp fp with
+      | Some key' ->
+        if key' <> key then Alcotest.failf "%s: fingerprint %d maps to two keys" name fp
+      | None -> Hashtbl.add by_fp fp key);
+      match Hashtbl.find_opt by_key key with
+      | Some fp' ->
+        if fp' <> fp then
+          Alcotest.failf "%s: one key maps to fingerprints %d and %d" name fp' fp
+      | None -> Hashtbl.add by_key key fp)
     pairs
 
-(* All (flat, slow, canonical-flat, canonical-slow) fingerprint quadruples of
-   configurations reachable within [depth] steps, capped at [cap] configs. *)
-let fingerprint_quads (module P : Consensus.Proto.S) ~inputs ~depth ~cap =
-  let module M = Model.Machine.Make (P.I) in
+(* Both partitions over every configuration reachable within [depth]
+   transitions — steps, plus crash–recover transitions while [crashes]
+   lasts.  Returns the number of configurations checked. *)
+let check_fingerprints (module P : Consensus.Proto.S) ~name ~inputs ~depth ~crashes =
+  let module K = Reference.Key (P.I) in
+  let module M = K.M in
   let n = Array.length inputs in
-  let root =
-    M.make ~record_trace:false ~n (fun pid -> P.proc ~n ~pid ~input:inputs.(pid))
-  in
-  let out = ref [] and count = ref 0 in
-  let rec go d cfg =
-    if !count < cap then begin
-      incr count;
-      out :=
-        ( M.fingerprint cfg,
-          M.slow_fingerprint cfg,
-          M.canonical_fingerprint ~inputs cfg,
-          M.slow_canonical_fingerprint ~inputs cfg )
-        :: !out;
-      if d > 0 then List.iter (fun pid -> go (d - 1) (M.step cfg pid)) (M.running cfg)
+  let root = M.make ~n (fun pid -> P.proc ~n ~pid ~input:inputs.(pid)) in
+  let plain = ref [] and canonical = ref [] and count = ref 0 in
+  let rec go d budget cfg =
+    incr count;
+    plain := (M.fingerprint cfg, K.plain cfg) :: !plain;
+    canonical :=
+      (M.canonical_fingerprint ~inputs cfg, K.canonical ~inputs cfg) :: !canonical;
+    if d > 0 then begin
+      List.iter (fun pid -> go (d - 1) budget (M.step cfg pid)) (M.running cfg);
+      if budget > 0 then
+        List.iter
+          (fun pid -> go (d - 1) (budget - 1) (M.crash_recover cfg pid))
+          (M.crashable cfg)
     end
   in
-  go depth root;
-  !out
+  go depth crashes root;
+  check_partition (name ^ " plain") !plain;
+  check_partition (name ^ " canonical") !canonical;
+  !count
 
+(* At n = 2 and depth 7 a row's tree has at most 2,499 configurations. *)
 let test_fingerprint_partition_registry () =
   List.iter
     (fun (row : Hierarchy.row) ->
       List.iter
         (fun inputs ->
-          let quads = fingerprint_quads row.protocol ~inputs ~depth:4 ~cap:400 in
+          let count =
+            check_fingerprints row.protocol ~name:row.id ~inputs ~depth:7 ~crashes:2
+          in
           Alcotest.(check bool)
             (row.id ^ ": enumerated some configurations")
-            true
-            (List.length quads > 1);
-          check_partition (row.id ^ " plain")
-            (List.map (fun (f, s, _, _) -> (f, s)) quads);
-          check_partition (row.id ^ " canonical")
-            (List.map (fun (_, _, f, s) -> (f, s)) quads))
+            true (count > 1))
         (* duplicate inputs make the canonical quotient non-trivial *)
         [ [| 0; 1 |]; [| 1; 1 |] ])
-    (Hierarchy.rows ())
+    (Hierarchy.rows ~recovery:true ())
 
 (* Init-write aliasing: a location explicitly holding the initial value and
-   an untouched location must fingerprint identically — in both the flat and
-   the fold implementation.  The test instruction set's [Write x] returns the
+   an untouched location must fingerprint identically — and get equal
+   public keys.  The test instruction set's [Write x] returns the
    old cell, so "read loc 5" and "write 0 to loc 5" observe the same result
    (0) and leave behaviourally identical configurations that differ only in
    whether loc 5 is materialized in the memory map. *)
@@ -104,11 +107,12 @@ module Alias_cell = struct
   let sample_ops = Model.Iset.memo (fun () -> [ Read; Write 0; Write 1 ])
 end
 
-module AM = Model.Machine.Make (Alias_cell)
+module AK = Reference.Key (Alias_cell)
+module AM = AK.M
 
 let alias_cfg op =
   let root =
-    AM.make ~record_trace:false ~n:1 (fun _ ->
+    AM.make ~n:1 (fun _ ->
         Model.Proc.Step ([ (5, op) ], fun _ -> Model.Proc.Done 0))
   in
   AM.step root 0
@@ -120,14 +124,13 @@ let test_init_write_aliasing () =
     "flat conflates untouched and explicitly-init" true
     (AM.fingerprint a = AM.fingerprint b);
   Alcotest.(check bool)
-    "fold conflates untouched and explicitly-init" true
-    (AM.slow_fingerprint a = AM.slow_fingerprint b);
+    "key conflates untouched and explicitly-init" true
+    (AK.plain a = AK.plain b);
   (* and a genuinely different write is not conflated by either *)
   let c = alias_cfg (Alias_cell.Write 1) in
   Alcotest.(check bool) "flat separates a real write" false
     (AM.fingerprint a = AM.fingerprint c);
-  Alcotest.(check bool) "fold separates a real write" false
-    (AM.slow_fingerprint a = AM.slow_fingerprint c)
+  Alcotest.(check bool) "key separates a real write" false (AK.plain a = AK.plain c)
 
 (* ------------------------------------------------------------------ *)
 (* Scratch probe workspace vs the persistent machine.
@@ -233,7 +236,7 @@ let reductions_for ~symmetric_ok =
   ]
   @ if symmetric_ok then [ ("full", Explore.full_reduction) ] else []
 
-let test_engine_fingerprint_differential () =
+let test_engine_reduction_differential () =
   let protos =
     [
       ("rw", Consensus.Rw_protocol.protocol, [| 0; 1; 1 |], 6, false);
@@ -251,24 +254,20 @@ let test_engine_fingerprint_differential () =
         (fun (ename, engine) ->
           List.iter
             (fun (rname, reduce) ->
-              List.iter
-                (fun (fname, fp) ->
-                  let v =
-                    verdict_kind
-                      (Explore.run ~probe:`Leaves ~engine ~reduce
-                         ~fingerprint_mode:fp proto ~inputs ~depth)
-                  in
-                  Alcotest.(check string)
-                    (Printf.sprintf "%s: %s/%s/%s verdict" name ename rname fname)
-                    reference v)
-                [ ("flat", `Flat); ("fold", `Fold) ])
+              let v =
+                verdict_kind
+                  (Explore.run ~probe:`Leaves ~engine ~reduce proto ~inputs ~depth)
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s: %s/%s verdict" name ename rname)
+                reference v)
             (reductions_for ~symmetric_ok))
         [ ("naive", `Naive); ("memo", `Memo); ("parallel-2", `Parallel 2) ])
     protos
 
-(* Broken protocols: both fingerprint modes must find the same violation
-   kind, and the shrunk witness schedule must replay to that violation in
-   either mode. *)
+(* Broken protocols: the naive and memoized engines must find the same
+   violation kind and shrink it to the same schedule, and that schedule must
+   replay to the violation. *)
 let broken_disagree : Consensus.Proto.t =
   (module struct
     module I = Isets.Rw
@@ -283,24 +282,27 @@ let test_witness_schedule_differential () =
     | Explore.Falsified (f : Explore.failure) -> f
     | _ -> Alcotest.fail "expected a violation"
   in
+  let run engine =
+    fail_of (Explore.run ~engine broken_disagree ~inputs:[| 0; 1 |] ~depth:3)
+  in
+  let reference = run `Naive in
   List.iter
-    (fun (fname, fp) ->
-      let f =
-        fail_of
-          (Explore.run ~engine:`Memo ~fingerprint_mode:fp broken_disagree
-             ~inputs:[| 0; 1 |] ~depth:3)
-      in
+    (fun (ename, engine) ->
+      let f = run engine in
       Alcotest.(check string)
-        (fname ^ ": violation kind")
+        (ename ^ ": violation kind")
         "agreement"
         (Explore.kind_name f.witness.kind);
+      Alcotest.(check (list int))
+        (ename ^ ": shrunk schedule matches naive")
+        reference.witness.schedule f.witness.schedule;
       match Explore.replay broken_disagree ~inputs:[| 0; 1 |] f.witness with
       | Ok r ->
         Alcotest.(check bool)
-          (fname ^ ": witness replays to a violation")
+          (ename ^ ": witness replays to a violation")
           true (r.violation <> None)
-      | Error e -> Alcotest.failf "%s: replay failed: %s" fname e)
-    [ ("flat", `Flat); ("fold", `Fold) ]
+      | Error e -> Alcotest.failf "%s: replay failed: %s" ename e)
+    [ ("naive", `Naive); ("memo", `Memo) ]
 
 let test_decidable_values_differential () =
   List.iter
@@ -309,22 +311,19 @@ let test_decidable_values_differential () =
         | Explore.Completed vs -> List.sort_uniq compare vs
         | _ -> Alcotest.fail (name ^ ": decidable_values did not complete")
       in
-      let reference = values (Explore.decidable_values ~memo:false proto ~inputs ~depth) in
+      let reference =
+        match Reference.decidable_values_naive proto ~inputs ~depth with
+        | Ok vs -> List.sort_uniq compare vs
+        | Error e -> Alcotest.failf "%s: naive walk failed: %s" name e
+      in
       Alcotest.(check bool) (name ^ ": bivalent") true (List.length reference >= 2);
       List.iter
-        (fun (fname, fp) ->
-          List.iter
-            (fun (rname, reduce) ->
-              let vs =
-                values
-                  (Explore.decidable_values ~memo:true ~reduce ~fingerprint_mode:fp
-                     proto ~inputs ~depth)
-              in
-              Alcotest.(check (list int))
-                (Printf.sprintf "%s: %s/%s decidable set" name fname rname)
-                reference vs)
-            (reductions_for ~symmetric_ok))
-        [ ("flat", `Flat); ("fold", `Fold) ])
+        (fun (rname, reduce) ->
+          let vs = values (Explore.decidable_values ~reduce proto ~inputs ~depth) in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: %s decidable set" name rname)
+            reference vs)
+        (reductions_for ~symmetric_ok))
     [
       ("rw", Consensus.Rw_protocol.protocol, [| 0; 1; 1 |], 5, false);
       ("maxreg", Consensus.Maxreg_protocol.protocol, [| 0; 1; 1 |], 5, true);
@@ -581,11 +580,11 @@ let () =
         ] );
       ( "engines",
         [
-          Alcotest.test_case "verdicts across engines x reductions x fp modes" `Slow
-            test_engine_fingerprint_differential;
-          Alcotest.test_case "witness schedules across fp modes" `Quick
+          Alcotest.test_case "verdicts across engines x reductions" `Slow
+            test_engine_reduction_differential;
+          Alcotest.test_case "witness schedules across engines" `Quick
             test_witness_schedule_differential;
-          Alcotest.test_case "decidable-value sets across fp modes" `Slow
+          Alcotest.test_case "decidable-value sets vs naive walk" `Slow
             test_decidable_values_differential;
         ] );
       ( "transposition",

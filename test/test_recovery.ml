@@ -32,8 +32,6 @@ let test_machine_crash_semantics () =
   (* fingerprints distinguish recovery epochs *)
   Alcotest.(check bool) "crash changes fingerprint" false
     (M.fingerprint cfg1 = M.fingerprint crashed);
-  Alcotest.(check bool) "slow fingerprint agrees" false
-    (M.slow_fingerprint cfg1 = M.slow_fingerprint crashed);
   (* the victim restarted from its root: it re-executes from the write *)
   let rerun = M.step (M.step crashed 0) 0 in
   Alcotest.(check (option int)) "recovered process re-decides" (Some 10)
@@ -282,9 +280,8 @@ let test_defaults_remember_crashed_decisions () =
     engines
 
 (* 6. Crash-free identity: a zero budget leaves verdicts and every counter
-   exactly as a run without the [crashes] argument; and the flat incremental
-   fingerprint agrees with the from-scratch fold on crashy state spaces. *)
-let test_crash_free_identity_and_fp_differential () =
+   exactly as a run without the [crashes] argument. *)
+let test_crash_free_identity () =
   let stats_of = function
     | Explore.Completed (s : Explore.stats) ->
       (s.configs, s.probes, s.truncated, s.dedup_hits, s.sleep_pruned)
@@ -306,23 +303,7 @@ let test_crash_free_identity_and_fp_differential () =
       ("cas", Consensus.Cas_protocol.protocol, 8);
       ("rw", Consensus.Rw_protocol.protocol, 8);
       ("rc-cas", Recovery.cas_durable, 10);
-    ];
-  (* flat vs fold fingerprints partition crashy state spaces identically *)
-  List.iter
-    (fun (name, crashes, depth) ->
-      let configs mode =
-        match
-          Explore.run ~engine:`Memo ~probe:`Never ~crashes ~fingerprint_mode:mode
-            Recovery.cas_durable ~inputs:[| 0; 1 |] ~depth
-        with
-        | Explore.Completed (s : Explore.stats) -> s.configs
-        | Explore.Falsified f -> -1 - List.length f.original.schedule
-        | Explore.Timed_out _ -> Alcotest.fail "timed out"
-      in
-      Alcotest.(check int)
-        (name ^ ": flat == fold under crashes")
-        (configs `Fold) (configs `Flat))
-    [ ("rc-cas-1crash", 1, 12); ("rc-cas-2crash", 2, 10) ]
+    ]
 
 (* 7. The registry rows: rc- rows are opt-in and findable. *)
 let test_registry_rows () =
@@ -369,7 +350,7 @@ let () =
           Alcotest.test_case "defaults remember crashed decisions" `Quick
             test_defaults_remember_crashed_decisions;
           Alcotest.test_case "crash-free identity" `Quick
-            test_crash_free_identity_and_fp_differential;
+            test_crash_free_identity;
         ] );
       ( "registry", [ Alcotest.test_case "rc rows" `Quick test_registry_rows ] );
     ]
