@@ -226,7 +226,7 @@ let ablation_threshold () =
   List.iter
     (fun lead ->
       let outcome =
-        Modelcheck.explore ~probe:`Everywhere (proto lead) ~inputs:[| 0; 1 |] ~depth:12
+        Explore.run ~probe:`Everywhere (proto lead) ~inputs:[| 0; 1 |] ~depth:12
       in
       (match outcome with
        | Explore.Completed s ->
@@ -236,7 +236,7 @@ let ablation_threshold () =
          Printf.printf "lead=%d: timed out after %d configurations\n" lead
            t.Explore.partial.Explore.configs
        | Explore.Falsified f ->
-         Printf.printf "lead=%d: VIOLATION — %s\n" lead (Modelcheck.failure_message f));
+         Printf.printf "lead=%d: VIOLATION — %s\n" lead (Explore.failure_message f));
       (* and the steps cost at n=6 under contention *)
       let inputs = Array.init 6 (fun i -> i) in
       let report =

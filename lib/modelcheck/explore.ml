@@ -1,6 +1,7 @@
-(* The exploration engines behind [Modelcheck.explore].
+(* The exploration engines behind [run], and the bivalence walk behind
+   [decidable_values].
 
-   Three engines share one DFS core:
+   Three engines share one DFS core, and so does the bivalence walk:
    - [`Naive] is the original depth-first walk of every schedule.
    - [`Memo] adds a transposition table ([Transposition]) keyed on the
      two-word [Machine.fingerprint_words]: configurations reached by
@@ -515,9 +516,14 @@ module Run (P : Consensus.Proto.S) = struct
      passes, but some transitions were asleep in all of them — only those
      transitions are explored, and the per-configuration work (counting,
      checking, probing) is skipped: it ran when the configuration was first
-     visited, and depends only on the configuration. *)
-  let dfs ~reduce ~crash_budget ~probe ~solo_fuel ~table ~fpw ~indep ~stop ~obs c cfg depth
-      path =
+     visited, and depends only on the configuration.
+
+     [on_visit path cfg] runs once per full visit, after the observer check
+     and before the probes and children; [Partial] revisits skip it with
+     the rest of the per-configuration work.  The bivalence walk collects
+     its values through it. *)
+  let dfs ?(on_visit = fun _ _ -> ()) ~reduce ~crash_budget ~probe ~solo_fuel ~table ~fpw
+      ~indep ~stop ~obs c cfg depth path =
     let rec go cfg d path sleep obs =
       match table with
       | None -> visit cfg d path sleep obs
@@ -538,6 +544,7 @@ module Run (P : Consensus.Proto.S) = struct
       if stop () then raise Stop;
       c.configs <- c.configs + 1;
       obs_check ~path ~probe:None obs;
+      on_visit path cfg;
       let at_bound = d <= 0 in
       if M.running_count cfg > 0 then begin
         let running = M.running cfg in
@@ -560,10 +567,9 @@ module Run (P : Consensus.Proto.S) = struct
 
   (* Parallel frontier: a sequential BFS prefix visits the shallow
      configurations (so their checks and `Everywhere probes still run
-     exactly once), then the unvisited frontier is deduped by fingerprint
-     and drained by [domains] workers from a shared queue in batches.  Each
-     frontier item carries its schedule prefix so workers report full
-     witnesses.
+     exactly once), then the unvisited frontier is drained by [domains]
+     workers from a shared queue in batches.  Each frontier item carries its
+     schedule prefix so workers report full witnesses.
 
      All workers share one sharded transposition table: a subtree one
      domain claims is never re-explored by another (domain-local tables
@@ -578,9 +584,19 @@ module Run (P : Consensus.Proto.S) = struct
     let fpw = fingerprint_words_fn ~reduce ~inputs in
     let domains = max 1 domains in
     let target = max 16 (4 * domains) in
+    (* each level is deduped by transposition key as it is built, so a
+       configuration reached along several prefix paths is counted, checked
+       and probed once and each duplicate counts as a hit, as under [`Memo] *)
     let rec prefix level d =
       if d <= 0 || List.length level >= target then (level, d)
       else begin
+        let seen = Hashtbl.create 64 in
+        let fresh (_, cfg, obs) =
+          let h = obs_key obs (fpw cfg) in
+          let dup = Hashtbl.mem seen h in
+          if dup then c.hits <- c.hits + 1 else Hashtbl.add seen h ();
+          not dup
+        in
         let next =
           List.concat_map
             (fun (path, cfg, obs) ->
@@ -607,28 +623,13 @@ module Run (P : Consensus.Proto.S) = struct
                     (M.crashable cfg)
                 else []
               in
-              stepped @ crashed)
+              List.filter fresh (stepped @ crashed))
             level
         in
         if next = [] then ([], d - 1) else prefix next (d - 1)
       end
     in
     let frontier, d = prefix [ ([], root, obs) ] depth in
-    let seen = Hashtbl.create 64 in
-    let frontier =
-      List.filter
-        (fun (_, cfg, obs) ->
-          let h = obs_key obs (fpw cfg) in
-          if Hashtbl.mem seen h then begin
-            c.hits <- c.hits + 1;
-            false
-          end
-          else begin
-            Hashtbl.add seen h ();
-            true
-          end)
-        frontier
-    in
     let items = Array.of_list frontier in
     let len = Array.length items in
     (* Batching the work queue: a worker claims a run of consecutive items
@@ -863,64 +864,41 @@ module Run (P : Consensus.Proto.S) = struct
       diagnosis_elapsed = Unix.gettimeofday () -. t0;
     }
 
-  (* The bivalence walk of [Modelcheck.decidable_values], on the shared
-     memoized core: collect every value decided in some reachable
-     configuration or decidable by a solo continuation from one.  Sound to
-     prune on the fingerprint table because equal fingerprints imply equal
-     future behaviour, hence equal decidable-value contributions. *)
+  (* The bivalence walk of [decidable_values]: the memoized [dfs] probing
+     everywhere, with a visit hook that collects every value decided in the
+     configuration or decidable by a solo run from it.  Sound to prune on
+     the fingerprint table because equal fingerprints imply equal future
+     behaviour, hence equal decidable-value contributions.  The solo runs
+     cover {e all} running processes, sleeping or not — reduction prunes
+     redundant transitions, never the per-configuration work — and raise
+     the walk's own obstruction-freedom witness regardless of the observer
+     set; observers that want probes are fed the full probe chain on top. *)
   let decidable ~reduce ~crash_budget ~solo_fuel ~inputs ~stop ~obs c cfg depth =
-    let fpw = fingerprint_words_fn ~reduce ~inputs in
-    let indep = make_independent ~seed:(static_ops ~reduce ~inputs) () in
-    let tbl = Transposition.create ~concurrent:false () in
     let seen = Hashtbl.create 7 in
-    let rec go cfg d path sleep obs =
-      let a, b = obs_key obs (fpw cfg) in
-      match Transposition.plan tbl a b ~depth:d ~sleep with
-      | Transposition.Hit -> c.hits <- c.hits + 1
-      | Transposition.Visit -> visit cfg d path sleep obs
-      | Transposition.Partial inter ->
-        (* decisions and probes ran when this configuration was first
-           visited; only the transitions every adequate prior pass left
-           asleep still need subtrees *)
-        c.hits <- c.hits + 1;
-        if stop () then raise Stop;
-        if d > 0 && M.running_count cfg > 0 then
-          children ~reduce ~indep ~go c cfg d path sleep obs inter
-    and visit cfg d path sleep obs =
-      if stop () then raise Stop;
-      c.configs <- c.configs + 1;
-      obs_check ~path ~probe:None obs;
-      List.iter (fun (_, v) -> Hashtbl.replace seen v ()) (M.decisions cfg);
-      if d > 0 then crash_children ~crash_budget ~go cfg d path obs;
-      match M.running cfg with
-      | [] -> ()
-      | running ->
-        (* solo probes run from every visited configuration for {e all}
-           running processes, sleeping or not — reduction prunes redundant
-           transitions, never the per-configuration probing.  The bivalence
-           walk keeps its native obstruction-freedom raise (it needs the
-           decided values regardless of the observer set); observers that
-           want probes are fed the full probe chain on top. *)
-        List.iter
-          (fun pid ->
-            c.probes <- c.probes + 1;
-            match M.Scratch.run_solo ~fuel:solo_fuel ~pid (M.Scratch.of_config cfg) with
-            | Some v -> Hashtbl.replace seen v ()
-            | None ->
-              raise
-                (Violation
-                   (witness_of ~path ~probe:(Some pid)
-                      ( `Obstruction_freedom,
-                        Printf.sprintf
-                          "obstruction-freedom: process %d did not decide solo within %d \
-                           steps"
-                          pid solo_fuel ))))
-          running;
-        if Observer.Run.wants_probes obs then
-          List.iter (obs_probe_one ~solo_fuel ~path c cfg obs) running;
-        if d > 0 then children ~reduce ~indep ~go c cfg d path sleep obs (-1)
+    let add v = Hashtbl.replace seen v () in
+    let on_visit path cfg =
+      List.iter (fun (_, v) -> add v) (M.decisions cfg);
+      List.iter
+        (fun pid ->
+          c.probes <- c.probes + 1;
+          match M.Scratch.run_solo ~fuel:solo_fuel ~pid (M.Scratch.of_config cfg) with
+          | Some v -> add v
+          | None ->
+            raise
+              (Violation
+                 (witness_of ~path ~probe:(Some pid)
+                    ( `Obstruction_freedom,
+                      Printf.sprintf
+                        "obstruction-freedom: process %d did not decide solo within %d \
+                         steps"
+                        pid solo_fuel ))))
+        (M.running cfg)
     in
-    go cfg depth [] 0 obs;
+    dfs ~on_visit ~reduce ~crash_budget ~probe:`Everywhere ~solo_fuel
+      ~table:(Some (Transposition.create ~concurrent:false ()))
+      ~fpw:(fingerprint_words_fn ~reduce ~inputs)
+      ~indep:(make_independent ~seed:(static_ops ~reduce ~inputs) ())
+      ~stop ~obs c cfg depth [];
     List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) seen [])
 end
 

@@ -1,4 +1,14 @@
-(** The exploration engines behind {!Modelcheck.explore}.
+(** Bounded exhaustive verification of consensus protocols.
+
+    {!run} explores {e every} schedule of a protocol up to a step bound —
+    possible because processes are pure step machines, so a configuration
+    can be stepped along all branches.  At each explored configuration the
+    checker can probe obstruction-freedom and agreement: run each undecided
+    process solo (it must decide), then drive the rest sequentially and
+    demand a consistent, valid decision set.  This is the executable
+    counterpart of the paper's proof obligations: agreement and validity in
+    all executions, solo termination from every reachable configuration.
+    {!decidable_values} walks the same tree for bivalence (Lemma 6.4).
 
     All engines decide the same property — they walk the schedule tree of a
     protocol to a depth bound, checking an {!Observer} set at every visited
@@ -201,8 +211,11 @@ val run :
   stats verdict
 (** [run proto ~inputs ~depth] explores the schedule tree to [depth] steps
     with the chosen [engine] (default [`Naive]).  Probing (default
-    [`Leaves]) is as in {!Modelcheck.explore}.  [reduce] (default
-    {!no_reduction}) layers commutativity and/or symmetry reduction over the
+    [`Leaves]: only where the depth bound cuts the tree off;
+    [`Everywhere]: at every configuration; [`Never]) checks that each
+    undecided process decides within [solo_fuel] (default 100_000) solo
+    steps and that the resulting decisions agree and are valid.  [reduce]
+    (default {!no_reduction}) layers commutativity and/or symmetry reduction over the
     engine — see {!reduction} for the soundness contract.  With
     [reduce.symmetric] the protocol is first certified pid-symmetric for
     these inputs; an uncertified protocol raises {!Uncertified_symmetry}
@@ -287,8 +300,8 @@ val decidable_values :
   int list verdict
 (** The set of values some solo continuation decides from some configuration
     reachable within [depth] steps — ≥ 2 values demonstrate bivalence
-    (Lemma 6.4).  Runs on the same fingerprint transposition table as the
-    [`Memo] engine and honours [reduce], [crashes], [deadline] and
+    (Lemma 6.4).  Runs on the [`Memo] engine's walk, probing every visited
+    configuration, and honours [reduce], [crashes], [deadline] and
     [observers] like {!run} — reductions preserve the decidable-value set
     because every reachable configuration is still probed; a process that
     fails to decide solo is reported ([Falsified]) as an obstruction-freedom

@@ -50,31 +50,35 @@ module Key (I : Model.Iset.S) = struct
 end
 
 (* The unmemoized bivalence walk of every schedule: the reference the
-   memoized [Modelcheck.decidable_values] is differentially tested
-   against. *)
+   memoized [Explore.decidable_values] is differentially tested against.
+   [crashes] is the crash–recover budget: while depth and budget remain,
+   every crashable process also branches into its crash–recover successor,
+   decided configurations included. *)
 exception Violation of string
 
-let decidable_values_naive ?(solo_fuel = 100_000) (module P : Consensus.Proto.S) ~inputs
-    ~depth =
+let decidable_values_naive ?(solo_fuel = 100_000) ?(crashes = 0)
+    (module P : Consensus.Proto.S) ~inputs ~depth =
   let module M = Model.Machine.Make (P.I) in
   let n = Array.length inputs in
   let seen = Hashtbl.create 7 in
   let rec go cfg d =
     List.iter (fun (_, v) -> Hashtbl.replace seen v ()) (M.decisions cfg);
-    match M.running cfg with
-    | [] -> ()
-    | running ->
-      List.iter
-        (fun pid ->
-          match M.run_solo ~fuel:solo_fuel ~pid cfg with
-          | _, Some v -> Hashtbl.replace seen v ()
-          | _, None ->
-            raise
-              (Violation
-                 (Printf.sprintf "process %d did not decide solo within %d steps" pid
-                    solo_fuel)))
-        running;
-      if d > 0 then List.iter (fun pid -> go (M.step cfg pid) (d - 1)) running
+    let running = M.running cfg in
+    List.iter
+      (fun pid ->
+        match M.run_solo ~fuel:solo_fuel ~pid cfg with
+        | _, Some v -> Hashtbl.replace seen v ()
+        | _, None ->
+          raise
+            (Violation
+               (Printf.sprintf "process %d did not decide solo within %d steps" pid
+                  solo_fuel)))
+      running;
+    if d > 0 then begin
+      List.iter (fun pid -> go (M.step cfg pid) (d - 1)) running;
+      if M.crashes cfg < crashes then
+        List.iter (fun pid -> go (M.crash_recover cfg pid) (d - 1)) (M.crashable cfg)
+    end
   in
   let cfg = M.make ~record_trace:false ~n (fun pid -> P.proc ~n ~pid ~input:inputs.(pid)) in
   match go cfg depth with

@@ -3,40 +3,40 @@
    ability to catch deliberately broken protocols. *)
 
 let ok_stats = function
-  | Explore.Completed (s : Modelcheck.stats) -> s
+  | Explore.Completed (s : Explore.stats) -> s
   | Explore.Falsified f ->
-    Alcotest.fail ("unexpected violation: " ^ Modelcheck.failure_message f)
+    Alcotest.fail ("unexpected violation: " ^ Explore.failure_message f)
   | Explore.Timed_out _ -> Alcotest.fail "unexpected timeout (no deadline given)"
 
 (* 1. Exhaustive verification of one-shot protocols (complete tree). *)
 let test_exhaustive_one_shot () =
   let s =
     ok_stats
-      (Modelcheck.explore ~probe:`Everywhere Consensus.Cas_protocol.protocol
+      (Explore.run ~probe:`Everywhere Consensus.Cas_protocol.protocol
          ~inputs:[| 0; 1 |] ~depth:6)
   in
   Alcotest.(check bool) "cas n=2 complete" false s.truncated;
   let s =
     ok_stats
-      (Modelcheck.explore ~probe:`Everywhere Consensus.Cas_protocol.protocol
+      (Explore.run ~probe:`Everywhere Consensus.Cas_protocol.protocol
          ~inputs:[| 0; 1; 2 |] ~depth:8)
   in
   Alcotest.(check bool) "cas n=3 complete" false s.truncated;
   let s =
     ok_stats
-      (Modelcheck.explore ~probe:`Everywhere Consensus.Intro_protocols.faa2_tas
+      (Explore.run ~probe:`Everywhere Consensus.Intro_protocols.faa2_tas
          ~inputs:[| 0; 1 |] ~depth:6)
   in
   Alcotest.(check bool) "faa2+tas n=2 complete" false s.truncated;
   let s =
     ok_stats
-      (Modelcheck.explore ~probe:`Everywhere Consensus.Intro_protocols.faa2_tas
+      (Explore.run ~probe:`Everywhere Consensus.Intro_protocols.faa2_tas
          ~inputs:[| 1; 0; 1; 0 |] ~depth:10)
   in
   Alcotest.(check bool) "faa2+tas n=4 complete" false s.truncated;
   let s =
     ok_stats
-      (Modelcheck.explore ~probe:`Everywhere Consensus.Intro_protocols.decmul
+      (Explore.run ~probe:`Everywhere Consensus.Intro_protocols.decmul
          ~inputs:[| 0; 1; 1 |] ~depth:12)
   in
   Alcotest.(check bool) "dec+mul n=3 complete" false s.truncated;
@@ -45,7 +45,7 @@ let test_exhaustive_one_shot () =
     (fun inputs ->
       let s =
         ok_stats
-          (Modelcheck.explore ~probe:`Everywhere Consensus.Assignment_protocol.two_process
+          (Explore.run ~probe:`Everywhere Consensus.Assignment_protocol.two_process
              ~inputs ~depth:8)
       in
       Alcotest.(check bool) "2-assignment complete" false s.truncated)
@@ -72,7 +72,7 @@ let test_bounded_loop_protocols () =
   in
   List.iter
     (fun (name, proto, depth) ->
-      let s = ok_stats (Modelcheck.explore ~probe:`Leaves proto ~inputs:[| 0; 1 |] ~depth) in
+      let s = ok_stats (Explore.run ~probe:`Leaves proto ~inputs:[| 0; 1 |] ~depth) in
       Alcotest.(check bool) (name ^ ": explored some tree") true (s.configs > 100))
     protos
 
@@ -81,7 +81,7 @@ let test_three_process_exploration () =
   List.iter
     (fun (name, proto) ->
       let s =
-        ok_stats (Modelcheck.explore ~probe:`Leaves proto ~inputs:[| 2; 0; 1 |] ~depth:8)
+        ok_stats (Explore.run ~probe:`Leaves proto ~inputs:[| 2; 0; 1 |] ~depth:8)
       in
       Alcotest.(check bool) (name ^ " 3 procs") true (s.configs > 0))
     [
@@ -96,10 +96,11 @@ let test_three_process_exploration () =
 let test_initial_bivalence () =
   List.iter
     (fun (name, proto) ->
-      match Modelcheck.decidable_values proto ~inputs:[| 0; 1 |] ~depth:4 with
-      | Ok vs ->
+      match Explore.decidable_values proto ~inputs:[| 0; 1 |] ~depth:4 with
+      | Explore.Completed vs ->
         Alcotest.(check (list int)) (name ^ ": initially bivalent") [ 0; 1 ] vs
-      | Error e -> Alcotest.fail (name ^ ": " ^ e))
+      | Explore.Falsified f -> Alcotest.fail (name ^ ": " ^ Explore.failure_message f)
+      | Explore.Timed_out _ -> Alcotest.fail (name ^ ": unexpected timeout"))
     [
       ("maxreg", Consensus.Maxreg_protocol.protocol);
       ("swap", Consensus.Swap_protocol.protocol);
@@ -113,11 +114,13 @@ let test_unanimous_univalence () =
   List.iter
     (fun v ->
       match
-        Modelcheck.decidable_values Consensus.Maxreg_protocol.protocol
+        Explore.decidable_values Consensus.Maxreg_protocol.protocol
           ~inputs:[| v; v |] ~depth:5
       with
-      | Ok vs -> Alcotest.(check (list int)) "only the unanimous value" [ v ] vs
-      | Error e -> Alcotest.fail e)
+      | Explore.Completed vs ->
+        Alcotest.(check (list int)) "only the unanimous value" [ v ] vs
+      | Explore.Falsified f -> Alcotest.fail (Explore.failure_message f)
+      | Explore.Timed_out _ -> Alcotest.fail "unexpected timeout")
     [ 0; 1 ]
 
 (* 6. Broken protocols are caught. *)
@@ -163,16 +166,16 @@ let broken_nonterminating : Consensus.Proto.t =
 let expect_violation name outcome =
   match outcome with
   | Explore.Falsified _ -> ()
-  | Explore.Completed (_ : Modelcheck.stats) | Explore.Timed_out _ ->
+  | Explore.Completed (_ : Explore.stats) | Explore.Timed_out _ ->
     Alcotest.fail (name ^ ": violation not detected")
 
 let test_catches_broken () =
   expect_violation "disagree"
-    (Modelcheck.explore broken_disagree ~inputs:[| 0; 1 |] ~depth:3);
+    (Explore.run broken_disagree ~inputs:[| 0; 1 |] ~depth:3);
   expect_violation "invalid"
-    (Modelcheck.explore broken_invalid ~inputs:[| 0; 1 |] ~depth:3);
+    (Explore.run broken_invalid ~inputs:[| 0; 1 |] ~depth:3);
   expect_violation "non-terminating (obstruction-freedom probe)"
-    (Modelcheck.explore ~probe:`Everywhere ~solo_fuel:1_000 broken_nonterminating
+    (Explore.run ~probe:`Everywhere ~solo_fuel:1_000 broken_nonterminating
        ~inputs:[| 0; 1 |] ~depth:2)
 
 (* 7. An agreement bug only reachable through a specific interleaving: the
@@ -183,13 +186,13 @@ let test_finds_interleaving_bug () =
     (module V)
   in
   expect_violation "naive maxreg victim"
-    (Modelcheck.explore ~probe:`Everywhere victim ~inputs:[| 0; 1 |] ~depth:6)
+    (Explore.run ~probe:`Everywhere victim ~inputs:[| 0; 1 |] ~depth:6)
 
 (* 8. Stats are sane on a complete exploration: cas n=2 has a known tree. *)
 let test_stats_shape () =
   let s =
     ok_stats
-      (Modelcheck.explore ~probe:`Never Consensus.Cas_protocol.protocol
+      (Explore.run ~probe:`Never Consensus.Cas_protocol.protocol
          ~inputs:[| 0; 1 |] ~depth:10)
   in
   (* Each process takes exactly one step: configs = 1 root + 2 + 2 = 5. *)
@@ -203,7 +206,7 @@ let test_stats_shape () =
 let engines = [ ("naive", `Naive); ("memo", `Memo); ("parallel-2", `Parallel 2) ]
 
 let outcome_class = function
-  | Explore.Completed (_ : Modelcheck.stats) -> "ok"
+  | Explore.Completed (_ : Explore.stats) -> "ok"
   | Explore.Falsified (f : Explore.failure) ->
     "violation:" ^ Explore.kind_name f.Explore.witness.Explore.kind
   | Explore.Timed_out _ -> "timeout"
@@ -211,7 +214,7 @@ let outcome_class = function
 let check_engines_agree ?solo_fuel name proto inputs depth =
   let verdict engine =
     outcome_class
-      (Modelcheck.explore ~probe:`Everywhere ?solo_fuel ~engine proto ~inputs ~depth)
+      (Explore.run ~probe:`Everywhere ?solo_fuel ~engine proto ~inputs ~depth)
   in
   let reference = verdict `Naive in
   List.iter
@@ -277,6 +280,29 @@ let test_memo_dedups () =
   Alcotest.(check bool) "memo visits fewer configs" true
     (memo.Explore.configs < naive.Explore.configs);
   Alcotest.(check int) "naive never hits the table" 0 naive.Explore.dedup_hits
+
+(* 10b. The parallel engine's BFS prefix counts what [`Memo] counts: each
+   configuration reached along several prefix paths is visited (counted,
+   checked, probed) once.  At these depths the whole tree lies inside the
+   sequential prefix, so the counts are deterministic. *)
+let test_parallel_counts_match_memo () =
+  List.iter
+    (fun (inputs, depth) ->
+      List.iter
+        (fun (pname, probe) ->
+          let run engine =
+            ok_stats
+              (Explore.run ~probe ~engine Consensus.Rw_protocol.protocol ~inputs ~depth)
+          in
+          let memo = run `Memo and par = run (`Parallel 2) in
+          let label what =
+            Printf.sprintf "rw n=%d d=%d %s: parallel-2 %s" (Array.length inputs) depth
+              pname what
+          in
+          Alcotest.(check int) (label "configs") memo.configs par.configs;
+          Alcotest.(check int) (label "probes") memo.probes par.probes)
+        [ ("leaves", `Leaves); ("everywhere", `Everywhere) ])
+    [ ([| 0; 1 |], 4); ([| 0; 1; 2 |], 3) ]
 
 (* 11. Witnesses: every engine's reported counterexample replays to the
    same violation kind, and shrinking only ever removes steps. *)
@@ -405,15 +431,17 @@ let test_decidable_memo_differential () =
   in
   List.iter
     (fun (name, proto, inputs, depth) ->
-      let memo = Modelcheck.decidable_values proto ~inputs ~depth in
+      let memo = Explore.decidable_values proto ~inputs ~depth in
       let naive = Reference.decidable_values_naive proto ~inputs ~depth in
       match (memo, naive) with
-      | Ok m, Ok n -> Alcotest.(check (list int)) (name ^ ": same value set") n m
-      | Error e, _ -> Alcotest.fail (name ^ ": memoized walk failed: " ^ e)
+      | Explore.Completed m, Ok n ->
+        Alcotest.(check (list int)) (name ^ ": same value set") n m
+      | (Explore.Falsified _ | Explore.Timed_out _), _ ->
+        Alcotest.fail (name ^ ": memoized walk did not complete")
       | _, Error e -> Alcotest.fail (name ^ ": naive walk failed: " ^ e))
     cases;
   let memo =
-    Modelcheck.decidable_values ~solo_fuel:200 broken_nonterminating ~inputs:[| 0; 1 |]
+    Explore.decidable_values ~solo_fuel:200 broken_nonterminating ~inputs:[| 0; 1 |]
       ~depth:2
   in
   let naive =
@@ -421,7 +449,7 @@ let test_decidable_memo_differential () =
       ~inputs:[| 0; 1 |] ~depth:2
   in
   (match (memo, naive) with
-   | Error _, Error _ -> ()
+   | Explore.Falsified _, Error _ -> ()
    | _ -> Alcotest.fail "spin: both walks must report the solo failure")
 
 (* 14. Iterative deepening completes on a finite tree and reports it. *)
@@ -473,7 +501,7 @@ let commute_only_cases =
 let test_reduce_differential () =
   let verdict ?(reduce = Explore.no_reduction) engine proto inputs depth =
     outcome_class
-      (Modelcheck.explore ~probe:`Everywhere ~engine ~reduce proto ~inputs ~depth)
+      (Explore.run ~probe:`Everywhere ~engine ~reduce proto ~inputs ~depth)
   in
   List.iter
     (fun (name, proto, inputs, depth) ->
@@ -518,13 +546,13 @@ let test_reduce_decidable_values () =
       let reference = Reference.decidable_values_naive proto ~inputs ~depth in
       List.iter
         (fun (rname, reduce) ->
-          match (Modelcheck.decidable_values ~reduce proto ~inputs ~depth, reference) with
-          | Ok got, Ok want ->
+          match (Explore.decidable_values ~reduce proto ~inputs ~depth, reference) with
+          | Explore.Completed got, Ok want ->
             Alcotest.(check (list int))
               (Printf.sprintf "%s: %s value set" name rname)
               want got
-          | Error e, _ ->
-            Alcotest.fail (Printf.sprintf "%s: %s walk failed: %s" name rname e)
+          | (Explore.Falsified _ | Explore.Timed_out _), _ ->
+            Alcotest.fail (Printf.sprintf "%s: %s walk did not complete" name rname)
           | _, Error e -> Alcotest.fail (name ^ ": naive walk failed: " ^ e))
         reductions)
     cases
@@ -600,28 +628,20 @@ let test_deadline_times_out () =
        ~inputs:[| 0; 1 |] ~depth:4
    with
    | Explore.Timed_out _ -> ()
-   | _ -> Alcotest.fail "decidable_values ignored the expired deadline");
-  match
-    Modelcheck.decidable_values ~deadline:(-1.0) Consensus.Maxreg_protocol.protocol
-      ~inputs:[| 0; 1 |] ~depth:4
-  with
-  | Error e ->
-    Alcotest.(check bool) "wrapper flattens the timeout to a message" true
-      (String.length e >= 9 && String.sub e 0 9 = "timed out")
-  | Ok _ -> Alcotest.fail "Modelcheck.decidable_values ignored the expired deadline"
+   | _ -> Alcotest.fail "decidable_values ignored the expired deadline")
 
 let test_deadline_generous_is_invisible () =
   List.iter
     (fun (ename, engine) ->
       let s =
         ok_stats
-          (Modelcheck.explore ~probe:`Everywhere ~engine ~deadline:3600.0
+          (Explore.run ~probe:`Everywhere ~engine ~deadline:3600.0
              Consensus.Cas_protocol.protocol ~inputs:[| 0; 1 |] ~depth:6)
       in
       Alcotest.(check bool) (ename ^ ": complete under deadline") false s.truncated)
     engines;
   expect_violation "disagree under deadline"
-    (Modelcheck.explore ~deadline:3600.0 broken_disagree ~inputs:[| 0; 1 |] ~depth:3)
+    (Explore.run ~deadline:3600.0 broken_disagree ~inputs:[| 0; 1 |] ~depth:3)
 
 let () =
   Alcotest.run "modelcheck"
@@ -650,6 +670,8 @@ let () =
           Alcotest.test_case "engines agree (broken protocols)" `Quick
             test_engines_agree_broken;
           Alcotest.test_case "memo dedups" `Quick test_memo_dedups;
+          Alcotest.test_case "parallel prefix counts match memo" `Quick
+            test_parallel_counts_match_memo;
           Alcotest.test_case "deepen completes" `Quick test_deepen_completes;
         ] );
       ( "witnesses",

@@ -304,30 +304,77 @@ let test_witness_schedule_differential () =
       | Error e -> Alcotest.failf "%s: replay failed: %s" ename e)
     [ ("naive", `Naive); ("memo", `Memo) ]
 
+(* Decides its input on a first run, but 7 once a restart finds its own
+   mark: a value only crash–recover branches can reach, so the crash cases
+   below cannot pass by agreeing on the crash-free value set. *)
+let recover_seven : Consensus.Proto.t =
+  (module struct
+    module I = Isets.Rw
+
+    let name = "recover-seven"
+    let locations ~n = Some n
+
+    let proc ~n:_ ~pid ~input =
+      let open Model.Proc.Syntax in
+      let* v = Isets.Rw.read pid in
+      match v with
+      | Model.Value.Int _ -> Model.Proc.return 7
+      | _ ->
+        let* () = Isets.Rw.write pid (Model.Value.Int input) in
+        Model.Proc.return input
+  end)
+
 let test_decidable_values_differential () =
   List.iter
-    (fun (name, proto, inputs, depth, symmetric_ok) ->
+    (fun (name, proto, inputs, depth, crashes, symmetric_ok) ->
+      let name = Printf.sprintf "%s d=%d crashes=%d" name depth crashes in
       let values = function
         | Explore.Completed vs -> List.sort_uniq compare vs
         | _ -> Alcotest.fail (name ^ ": decidable_values did not complete")
       in
       let reference =
-        match Reference.decidable_values_naive proto ~inputs ~depth with
+        match Reference.decidable_values_naive ~crashes proto ~inputs ~depth with
         | Ok vs -> List.sort_uniq compare vs
         | Error e -> Alcotest.failf "%s: naive walk failed: %s" name e
       in
       Alcotest.(check bool) (name ^ ": bivalent") true (List.length reference >= 2);
       List.iter
         (fun (rname, reduce) ->
-          let vs = values (Explore.decidable_values ~reduce proto ~inputs ~depth) in
+          let vs =
+            values (Explore.decidable_values ~reduce ~crashes proto ~inputs ~depth)
+          in
           Alcotest.(check (list int))
             (Printf.sprintf "%s: %s decidable set" name rname)
             reference vs)
         (reductions_for ~symmetric_ok))
-    [
-      ("rw", Consensus.Rw_protocol.protocol, [| 0; 1; 1 |], 5, false);
-      ("maxreg", Consensus.Maxreg_protocol.protocol, [| 0; 1; 1 |], 5, true);
-    ]
+    ([
+       ("rw", Consensus.Rw_protocol.protocol, [| 0; 1; 1 |], 5, 0, false);
+       ("maxreg", Consensus.Maxreg_protocol.protocol, [| 0; 1; 1 |], 5, 0, true);
+     ]
+    @ List.concat_map
+        (fun (name, proto) ->
+          List.concat_map
+            (fun depth ->
+              List.map
+                (fun crashes -> (name, proto, [| 0; 1 |], depth, crashes, false))
+                [ 1; 2 ])
+            [ 6; 7; 8 ])
+        [
+          ("rc-cas", Recovery.cas_durable);
+          ("rc-tas-naive", Recovery.tas_naive);
+          ("recover-seven", recover_seven);
+        ]);
+  List.iter
+    (fun (crashes, want) ->
+      match
+        Reference.decidable_values_naive ~crashes recover_seven ~inputs:[| 0; 1 |] ~depth:6
+      with
+      | Ok vs ->
+        Alcotest.(check (list int))
+          (Printf.sprintf "recover-seven crashes=%d: reference value set" crashes)
+          want vs
+      | Error e -> Alcotest.failf "recover-seven: naive walk failed: %s" e)
+    [ (0, [ 0; 1 ]); (1, [ 0; 1; 7 ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Sharded transposition table. *)
