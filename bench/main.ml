@@ -13,7 +13,8 @@
      ABL     ablations: racing decision threshold, scan stability
      CRASH   crash–recovery: crash-point enumeration + crash-free identity
      LINT    static-analysis passes: symmetry certification, registry lint
-     TIME    bechamel wall-clock per protocol *)
+     TIME    bechamel wall-clock per protocol, plus one solo-probe segment
+             (plain scratch miss vs memo hit) *)
 
 let section title =
   Printf.printf "\n==== %s ====\n%!" title
@@ -1305,16 +1306,37 @@ let bechamel_suite () =
     let raw = Benchmark.all cfg [ instance ] test in
     Analyze.all ols instance raw
   in
-  let results = benchmark (Test.make_grouped ~name:"solo" ~fmt:"%s %s" tests) in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  let rows = List.sort compare rows in
-  Printf.printf "%-28s %s\n" "protocol" "ns / solo decision (n=8)";
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "%-28s %14.0f\n" name est
-      | _ -> Printf.printf "%-28s %14s\n" name "n/a")
-    rows
+  let report header tests =
+    let results = benchmark (Test.make_grouped ~name:"solo" ~fmt:"%s %s" tests) in
+    let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
+    let rows = List.sort compare rows in
+    Printf.printf "%-28s %s\n" "protocol" header;
+    List.iter
+      (fun (name, ols) ->
+        match Analyze.OLS.estimates ols with
+        | Some [ est ] -> Printf.printf "%-28s %14.0f\n" name est
+        | _ -> Printf.printf "%-28s %14s\n" name "n/a")
+      rows
+  in
+  report "ns / solo decision (n=8)" tests;
+  (* the probe layer: one solo segment of pid 0 from rw's n=4 root, on a
+     fresh scratch workspace — a miss is the plain [Scratch.run_solo], a hit
+     is [Scratch.run_solo_memo] on a memo that already holds the segment *)
+  let (module P : Consensus.Proto.S) = Consensus.Rw_protocol.protocol in
+  let module M = Model.Machine.Make (P.I) in
+  let root = M.make ~record_trace:false ~n:4 (fun pid -> P.proc ~n:4 ~pid ~input:pid) in
+  let memo = M.Scratch.memo () in
+  ignore (M.Scratch.run_solo_memo memo ~pid:0 (M.Scratch.of_config root));
+  let segment name run =
+    Test.make ~name
+      (Staged.stage (fun () -> assert (run ~pid:0 (M.Scratch.of_config root) = Some 0)))
+  in
+  print_newline ();
+  report "ns / solo segment (rw n=4)"
+    [
+      segment "scratch-segment-miss" (fun ~pid s -> M.Scratch.run_solo ~pid s);
+      segment "scratch-segment-hit" (fun ~pid s -> M.Scratch.run_solo_memo memo ~pid s);
+    ]
 
 (* ------------------------------------------------------------ driver -- *)
 

@@ -124,6 +124,21 @@ let of_string s =
     end
     else fail ("expected " ^ word)
   in
+  (* the four hex digits of a \u escape *)
+  let hex4 () =
+    if !pos + 4 > n then fail "truncated \\u escape";
+    let hex = String.sub s !pos 4 in
+    let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+    (* validate before converting: int_of_string accepts OCaml-isms
+       (underscores, sign) and raises on garbage, both of which must
+       surface as a parse error, not an escaping Failure *)
+    if not (String.for_all is_hex hex) then fail "bad \\u escape";
+    match int_of_string_opt ("0x" ^ hex) with
+    | Some code ->
+      pos := !pos + 4;
+      code
+    | None -> fail "bad \\u escape"
+  in
   let string_body () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -144,31 +159,36 @@ let of_string s =
          | Some 'f' -> Buffer.add_char buf '\012'; advance ()
          | Some 'u' ->
            advance ();
-           if !pos + 4 > n then fail "truncated \\u escape";
-           let hex = String.sub s !pos 4 in
-           let is_hex = function
-             | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
-             | _ -> false
-           in
-           (* validate before converting: int_of_string accepts OCaml-isms
-              (underscores, sign) and raises on garbage, both of which must
-              surface as a parse error, not an escaping Failure *)
-           if not (String.for_all is_hex hex) then fail "bad \\u escape";
+           let code = hex4 () in
+           (* a code point past the BMP arrives as a UTF-16 surrogate pair;
+              a lone or misordered surrogate is not a character *)
            let code =
-             match int_of_string_opt ("0x" ^ hex) with
-             | Some code -> code
-             | None -> fail "bad \\u escape"
+             if code >= 0xDC00 && code <= 0xDFFF then fail "unpaired low surrogate"
+             else if code >= 0xD800 && code <= 0xDBFF then begin
+               if not (!pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u') then
+                 fail "unpaired high surrogate";
+               pos := !pos + 2;
+               let low = hex4 () in
+               if low < 0xDC00 || low > 0xDFFF then fail "unpaired high surrogate";
+               0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+             end
+             else code
            in
-           pos := !pos + 4;
-           (* we only emit \u for control characters; decode the BMP point
+           (* we only emit \u for control characters; decode the code point
               as UTF-8 so parse inverts print *)
            if code < 0x80 then Buffer.add_char buf (Char.chr code)
            else if code < 0x800 then begin
              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
            end
-           else begin
+           else if code < 0x10000 then begin
              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+             Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+             Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+           end
+           else begin
+             Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
+             Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
              Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
            end

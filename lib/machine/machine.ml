@@ -454,9 +454,16 @@ module Make (I : Iset.S) = struct
      is ever fingerprinted, traced or branched from — so paying [step]'s
      persistent-structure costs (three array copies, map rebalancing, digest
      deltas, a 14-field record) per probe step is pure waste.  A scratch
-     workspace mutates a hashtable and one process array in place; its
+     workspace mutates a cell array and one process array in place; its
      [run_solo] agrees with the persistent one on decisions, runnability and
-     results observed (differentially tested in [test_modelcheck]). *)
+     results observed (differentially tested in [test_perf_core]).
+
+     On top of that sits a per-walk memo of solo segments.  A process
+     running alone reads only shared memory and its own state, so its solo
+     run is the same from any two workspaces that agree on those two — and
+     in a meso-sized exploration 95–99% of solo runs repeat.  The workspace keeps
+     the memory's two digest lanes exact across runs, and a segment is keyed
+     on them plus the running process's history lanes. *)
   module Scratch = struct
     (* Memory as a dense array indexed by location — protocols use small
        location indices, so a cell read/write is an array access instead of
@@ -468,6 +475,17 @@ module Make (I : Iset.S) = struct
       mutable cells : I.cell array;
       mutable overflow : (int, I.cell) Hashtbl.t option;
       sprocs : 'a proc array;
+      shist : int array;
+          (* the source configuration's history hashes, never written: a
+             process's entry is exact until the process runs here *)
+      mutable ran : int;
+          (* bitmask of the pids that have run here; their [shist] entries
+             are stale, so their further runs bypass the memo *)
+      mutable smem_a : int;  (* the memory's digest lanes, as in [config] *)
+      mutable smem_b : int;
+      mutable lanes_exact : bool;
+          (* false once a run outside the memo moved memory without
+             updating the lanes: every later run bypasses the memo *)
     }
 
     let small_limit = 1 lsl 16
@@ -502,7 +520,16 @@ module Make (I : Iset.S) = struct
 
     let of_config cfg =
       let t =
-        { cells = Array.make 16 I.init; overflow = None; sprocs = Array.copy cfg.procs }
+        {
+          cells = Array.make 16 I.init;
+          overflow = None;
+          sprocs = Array.copy cfg.procs;
+          shist = cfg.hist;
+          ran = 0;
+          smem_a = cfg.mem_a;
+          smem_b = cfg.mem_b;
+          lanes_exact = true;
+        }
       in
       Imap.iter (fun loc (c, _, _) -> set t loc c) cfg.mem;
       t
@@ -526,7 +553,7 @@ module Make (I : Iset.S) = struct
     (* Mirrors [run ~sched:(Sched.solo pid)]: step [pid] while it is
        runnable, up to [fuel] steps, and report its decision.  The hot
        single-access case is inlined so each iteration is one match. *)
-    let run_solo ?(fuel = 1_000_000) ~pid t =
+    let solo ~fuel ~pid t =
       let rec go remaining =
         match t.sprocs.(pid) with
         | Proc.Done v -> Some v
@@ -548,6 +575,118 @@ module Make (I : Iset.S) = struct
           end
       in
       go fuel
+
+    let run_solo ?(fuel = 1_000_000) ~pid t =
+      t.lanes_exact <- false;
+      solo ~fuel ~pid t
+
+    (* A memoized segment: "run [pid] solo with [fuel]" from a memory whose
+       lanes are [ma]/[mb], with [pid]'s history lanes [ha]/[hb].  Other
+       processes' states and epochs are deliberately absent — a solo run
+       cannot read them — and a crash resets a history to the root
+       continuation's, so recovered processes share segments too. *)
+    type key = { ma : int; mb : int; ha : int; hb : int; kfuel : int }
+
+    module Tbl = Hashtbl.Make (struct
+      type t = key
+
+      let equal x y =
+        x.ma = y.ma && x.mb = y.mb && x.ha = y.ha && x.hb = y.hb && x.kfuel = y.kfuel
+
+      (* the lanes are avalanched already *)
+      let hash k = k.ma + k.ha + k.kfuel
+    end)
+
+    (* A segment's effect: the cells it left changed, the digest delta that
+       change makes, and the process's final state and decision. *)
+    type 'a segment = {
+      writes : (int * I.cell) array;
+      da : int;
+      db : int;
+      final : 'a proc;
+      decided : 'a option;
+    }
+
+    type 'a memo = 'a segment Tbl.t
+
+    let memo () = Tbl.create 64
+    let memo_size = Tbl.length
+
+    let contrib loc c =
+      if I.equal_cell c I.init then (0, 0)
+      else
+        let hc = I.hash_cell c in
+        (cell_contrib_a loc hc, cell_contrib_b loc hc)
+
+    (* The miss path: the plain solo loop, then one diff of memory (the
+       overflow table included) against the copy taken before it.  The
+       overflow table only ever gains keys, so walking its final contents
+       covers every overflow write. *)
+    let record ~fuel ~pid t =
+      let cells0 = Array.copy t.cells in
+      let overflow0 = Option.map Hashtbl.copy t.overflow in
+      let decided = solo ~fuel ~pid t in
+      let writes = ref [] and da = ref 0 and db = ref 0 in
+      let note loc c0 c =
+        if not (I.equal_cell c0 c) then begin
+          let a0, b0 = contrib loc c0 and a, b = contrib loc c in
+          writes := (loc, c) :: !writes;
+          da := !da + a - a0;
+          db := !db + b - b0
+        end
+      in
+      let len0 = Array.length cells0 in
+      Array.iteri
+        (fun loc c -> note loc (if loc < len0 then cells0.(loc) else I.init) c)
+        t.cells;
+      Option.iter
+        (Hashtbl.iter (fun loc c ->
+             let c0 =
+               match Option.bind overflow0 (fun h -> Hashtbl.find_opt h loc) with
+               | Some c0 -> c0
+               | None -> I.init
+             in
+             note loc c0 c))
+        t.overflow;
+      {
+        writes = Array.of_list !writes;
+        da = !da;
+        db = !db;
+        final = t.sprocs.(pid);
+        decided;
+      }
+
+    let run_solo_memo memo ?(fuel = 1_000_000) ~pid t =
+      let bit = 1 lsl pid in
+      if (not t.lanes_exact) || pid >= Sys.int_size - 1 || t.ran land bit <> 0 then
+        run_solo ~fuel ~pid t
+      else begin
+        t.ran <- t.ran lor bit;
+        let h = t.shist.(pid) in
+        let key =
+          {
+            ma = t.smem_a;
+            mb = t.smem_b;
+            ha = hist_contrib_a pid h;
+            hb = hist_contrib_b pid h;
+            kfuel = fuel;
+          }
+        in
+        let seg =
+          match Tbl.find_opt memo key with
+          | Some seg ->
+            Array.iter (fun (loc, c) -> set t loc c) seg.writes;
+            t.sprocs.(pid) <- seg.final;
+            seg
+          | None ->
+            let seg = record ~fuel ~pid t in
+            Tbl.add memo key seg;
+            seg
+        in
+        t.smem_a <- t.smem_a + seg.da;
+        t.smem_b <- t.smem_b + seg.db;
+        seg.decided
+      end
 
     let running t =
       let out = ref [] in

@@ -205,12 +205,26 @@ module Make (I : Iset.S) : sig
       steps dominate the model checker's wall clock (every leaf probes every
       running process) yet their intermediate configurations are never
       fingerprinted or branched from, so the scratch workspace executes them
-      in place: memory in a hashtable, processes in one mutated array.
+      in place: memory in an array, processes in one mutated array.
       Semantics match the persistent machine exactly — same results
       observed, same decisions, same blocked/undecided classification —
       which the differential probe tests assert.  A scratch value is
-      single-use state: it shares nothing with the configuration it was
-      built from, and is meant to be dropped after the probe. *)
+      single-use state: it shares nothing mutable with the configuration it
+      was built from, and is meant to be dropped after the probe.
+
+      {b Solo-segment memo.}  A process running alone reads only shared
+      memory and its own state, so its solo run from two workspaces that
+      agree on those two is the same run.  {!run_solo_memo} looks the
+      segment up in a {!memo} keyed on the workspace's two memory digest
+      lanes (the lanes of {!fingerprint_words}, kept exact across memoized
+      runs) and the process's history lanes, and on a hit applies the
+      recorded effect — changed cells, digest delta, final process state —
+      instead of stepping.  On a miss it runs {!run_solo}'s loop and records
+      the effect by diffing memory against a copy taken before the run.
+      Like the model checker's transposition table, the memo trusts the
+      126-bit digest: it never compares full states.  A memo is only valid
+      for workspaces of one initial machine (same [n], same process
+      builder) and is not thread-safe: keep one per walk and per domain. *)
   module Scratch : sig
     type 'a t
 
@@ -221,7 +235,25 @@ module Make (I : Iset.S) : sig
     val run_solo : ?fuel:int -> pid:int -> 'a t -> 'a option
     (** In-place equivalent of the machine's [run_solo]: step [pid] while
         it is runnable, up to [fuel] steps, and return its decision if it
-        decided.  Mutates the workspace. *)
+        decided.  Mutates the workspace.  Memory moved here is not tracked
+        in the digest lanes, so later {!run_solo_memo} calls on the same
+        workspace bypass the memo. *)
+
+    type 'a memo
+    (** Solo segments seen so far, each with its effect on the workspace. *)
+
+    val memo : unit -> 'a memo
+    (** An empty memo. *)
+
+    val memo_size : 'a memo -> int
+    (** Number of distinct segments recorded (every other call was a hit). *)
+
+    val run_solo_memo : 'a memo -> ?fuel:int -> pid:int -> 'a t -> 'a option
+    (** Same result and same effect on the workspace as {!run_solo}, served
+        from [memo] when the segment was seen before (see above).  A
+        process's history is only known until it first runs in a
+        workspace, so a second run of the same [pid] there takes the plain
+        {!run_solo} path, as does every run after a plain one. *)
 
     val running : 'a t -> int list
     (** Sorted ids of processes not decided and not blocked. *)

@@ -333,24 +333,26 @@ module Run (P : Consensus.Proto.S) = struct
      chains full solo runs), but none of their intermediate configurations
      is fingerprinted or branched from, so the chain runs on a mutable
      scratch copy ([M.Scratch]) several times faster than on the persistent
-     machine.  Config-local: the caller checks the post-probe verdict and
-     discards the state, so probes never mutate the exploration. *)
-  let scratch_outcome ~solo_fuel cfg pid =
+     machine, and every solo run goes through the walk's segment [memo]: a
+     run already seen from the same memory and process state is applied,
+     not stepped.  Config-local: the caller checks the post-probe verdict
+     and discards the state, so probes never mutate the exploration. *)
+  let scratch_outcome ~memo ~solo_fuel cfg pid =
     let s = M.Scratch.of_config cfg in
-    match M.Scratch.run_solo ~fuel:solo_fuel ~pid s with
+    match M.Scratch.run_solo_memo memo ~fuel:solo_fuel ~pid s with
     | None -> Observer.Probe_stuck { pid; fuel = solo_fuel }
     | Some _ ->
       List.iter
-        (fun q -> ignore (M.Scratch.run_solo ~fuel:solo_fuel ~pid:q s))
+        (fun q -> ignore (M.Scratch.run_solo_memo memo ~fuel:solo_fuel ~pid:q s))
         (M.Scratch.running s);
       (match M.Scratch.running s with
        | q :: _ -> Observer.Probe_starved { pid; straggler = q }
        | [] -> Observer.Probe_decided { pid; decisions = M.Scratch.decisions s })
 
-  let obs_probe_one ~solo_fuel ~path c cfg o pid =
+  let obs_probe_one ~memo ~solo_fuel ~path c cfg o pid =
     c.probes <- c.probes + 1;
     obs_check ~path ~probe:(Some pid)
-      (Observer.Run.probe o (scratch_outcome ~solo_fuel cfg pid))
+      (Observer.Run.probe o (scratch_outcome ~memo ~solo_fuel cfg pid))
 
   exception Stop
 
@@ -521,9 +523,12 @@ module Run (P : Consensus.Proto.S) = struct
      [on_visit path cfg] runs once per full visit, after the observer check
      and before the probes and children; [Partial] revisits skip it with
      the rest of the per-configuration work.  The bivalence walk collects
-     its values through it. *)
-  let dfs ?(on_visit = fun _ _ -> ()) ~reduce ~crash_budget ~probe ~solo_fuel ~table ~fpw
-      ~indep ~stop ~obs c cfg depth path =
+     its values through it.
+
+     [memo] is the walk's solo-segment memo ([M.Scratch.memo]): one per
+     walk and per domain, never shared across domains. *)
+  let dfs ?(on_visit = fun _ _ -> ()) ~reduce ~crash_budget ~probe ~solo_fuel ~memo ~table
+      ~fpw ~indep ~stop ~obs c cfg depth path =
     let rec go cfg d path sleep obs =
       match table with
       | None -> visit cfg d path sleep obs
@@ -553,7 +558,8 @@ module Run (P : Consensus.Proto.S) = struct
           (match probe with `Never -> false | `Leaves -> at_bound | `Everywhere -> true)
           && Observer.Run.wants_probes obs
         in
-        if should_probe then List.iter (obs_probe_one ~solo_fuel ~path c cfg obs) running;
+        if should_probe then
+          List.iter (obs_probe_one ~memo ~solo_fuel ~path c cfg obs) running;
         if not at_bound then children ~reduce ~indep ~go c cfg d path sleep obs (-1)
       end;
       if at_bound then begin
@@ -584,6 +590,7 @@ module Run (P : Consensus.Proto.S) = struct
     let fpw = fingerprint_words_fn ~reduce ~inputs in
     let domains = max 1 domains in
     let target = max 16 (4 * domains) in
+    let memo = M.Scratch.memo () in
     (* each level is deduped by transposition key as it is built, so a
        configuration reached along several prefix paths is counted, checked
        and probed once and each duplicate counts as a hit, as under [`Memo] *)
@@ -608,7 +615,7 @@ module Run (P : Consensus.Proto.S) = struct
                 else begin
                   let running = M.running cfg in
                   if probe = `Everywhere && Observer.Run.wants_probes obs then
-                    List.iter (obs_probe_one ~solo_fuel ~path c cfg obs) running;
+                    List.iter (obs_probe_one ~memo ~solo_fuel ~path c cfg obs) running;
                   List.map
                     (fun pid ->
                       let cfg' = M.step cfg pid in
@@ -656,6 +663,7 @@ module Run (P : Consensus.Proto.S) = struct
       Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 22 };
       let wc = fresh () in
       let indep = make_independent ~seed () in
+      let memo = M.Scratch.memo () in
       (* the deadline stops a worker exactly like a sibling's violation does;
          [timed] remembers which of the two it was *)
       let stop () =
@@ -670,8 +678,8 @@ module Run (P : Consensus.Proto.S) = struct
       let item i =
         let path, cfg, obs = items.(i) in
         match
-          dfs ~reduce ~crash_budget ~probe ~solo_fuel ~table ~fpw ~indep ~stop ~obs wc cfg d
-            path
+          dfs ~reduce ~crash_budget ~probe ~solo_fuel ~memo ~table ~fpw ~indep ~stop ~obs wc
+            cfg d path
         with
         | () -> ()
         | exception Violation w ->
@@ -876,12 +884,15 @@ module Run (P : Consensus.Proto.S) = struct
   let decidable ~reduce ~crash_budget ~solo_fuel ~inputs ~stop ~obs c cfg depth =
     let seen = Hashtbl.create 7 in
     let add v = Hashtbl.replace seen v () in
+    let memo = M.Scratch.memo () in
     let on_visit path cfg =
       List.iter (fun (_, v) -> add v) (M.decisions cfg);
       List.iter
         (fun pid ->
           c.probes <- c.probes + 1;
-          match M.Scratch.run_solo ~fuel:solo_fuel ~pid (M.Scratch.of_config cfg) with
+          match
+            M.Scratch.run_solo_memo memo ~fuel:solo_fuel ~pid (M.Scratch.of_config cfg)
+          with
           | Some v -> add v
           | None ->
             raise
@@ -894,7 +905,7 @@ module Run (P : Consensus.Proto.S) = struct
                         pid solo_fuel ))))
         (M.running cfg)
     in
-    dfs ~on_visit ~reduce ~crash_budget ~probe:`Everywhere ~solo_fuel
+    dfs ~on_visit ~reduce ~crash_budget ~probe:`Everywhere ~solo_fuel ~memo
       ~table:(Some (Transposition.create ~concurrent:false ()))
       ~fpw:(fingerprint_words_fn ~reduce ~inputs)
       ~indep:(make_independent ~seed:(static_ops ~reduce ~inputs) ())
@@ -930,10 +941,11 @@ let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive) ?(shrink = 
       let seed = R.static_ops ~reduce ~inputs in
       (match engine with
        | `Naive ->
-         R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel ~table:None ~fpw
+         R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel ~memo:(R.M.Scratch.memo ())
+           ~table:None ~fpw
            ~indep:(R.make_independent ~seed ()) ~stop:past ~obs c root depth []
        | `Memo ->
-         R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel
+         R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel ~memo:(R.M.Scratch.memo ())
            ~table:(Some (Transposition.create ~concurrent:false ())) ~fpw
            ~indep:(R.make_independent ~seed ()) ~stop:past ~obs c root depth []
        | `Parallel k ->

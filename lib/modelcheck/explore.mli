@@ -31,6 +31,15 @@
       batches, all updating one shared sharded transposition table — work
       one domain claims is never repeated by another.
 
+    The transposition table trusts the 126-bit digest: it never compares
+    full states, so a [Completed] verdict assumes no two distinct
+    configurations the walk meets share a digest.  Solo probes rest on the
+    same assumption: every engine (each parallel worker and the parallel
+    prefix on their own) and the {!decidable_values} walk keep one memo of
+    solo-run segments ({!Model.Machine.Make.Scratch.run_solo_memo}), keyed
+    on the memory's digest lanes and the running process's history lanes,
+    and serve a repeated solo run from it instead of stepping it.
+
     Engines agree on the verdict: [Ok _] vs [Error _], and the violation
     {!violation_kind}, match across engines on the same protocol/depth (the
     exact counter-example may differ for [`Parallel]).  Stats differ by

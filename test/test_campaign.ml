@@ -58,7 +58,16 @@ let test_json_roundtrip () =
       match Campaign.Json.of_string (to_string sample_json) with
       | Ok j -> Alcotest.(check bool) "round-trips" true (j = sample_json)
       | Error e -> Alcotest.fail e)
-    [ Campaign.Json.to_string; Campaign.Json.to_string_pretty ]
+    [ Campaign.Json.to_string; Campaign.Json.to_string_pretty ];
+  (* a surrogate pair decodes to one 4-byte UTF-8 code point (U+1F600), and
+     the decoded string round-trips *)
+  let emoji = Campaign.Json.String "\xf0\x9f\x98\x80" in
+  (match Campaign.Json.of_string "\"\\ud83d\\ude00\"" with
+   | Ok j -> Alcotest.(check bool) "surrogate pair decodes to UTF-8" true (j = emoji)
+   | Error e -> Alcotest.fail e);
+  match Campaign.Json.of_string (Campaign.Json.to_string emoji) with
+  | Ok j -> Alcotest.(check bool) "decoded pair round-trips" true (j = emoji)
+  | Error e -> Alcotest.fail e
 
 let test_json_parse_errors () =
   List.iter
@@ -79,6 +88,13 @@ let test_json_parse_errors () =
       "\"\\u00_7\"";
       "\"\\u-001\"";
       "\"\\u12\"";
+      (* surrogates: lone high, lone low, low before high, high then a
+         non-surrogate escape, high then a plain character *)
+      "\"\\ud83d\"";
+      "\"\\ude00\"";
+      "\"\\ude00\\ud83d\"";
+      "\"\\ud83d\\u0041\"";
+      "\"\\ud83dx\"";
     ]
 
 let test_json_accessors () =

@@ -136,55 +136,128 @@ let test_init_write_aliasing () =
 (* Scratch probe workspace vs the persistent machine.
 
    Every probe the checker runs is: solo-run one process, then solo-run each
-   remaining running process once, then read the decisions.  The mutable
-   workspace must agree with the persistent machine on decisions, the
-   running set, and the decision list at every reachable configuration. *)
+   remaining running process once, then read the decisions.  Three chains
+   must agree on the solo decision, the running set and the decision list at
+   every reachable configuration: the persistent machine, the plain scratch
+   workspace, and the scratch workspace served from a solo-segment memo.
+   One memo is shared by every configuration of a row, as in the engines,
+   so most memoized runs are hits. *)
 
-let scratch_differential (module P : Consensus.Proto.S) ~inputs ~depth ~cap name =
+type 'a chain = { solo : 'a option; running : int list; decisions : (int * 'a) list }
+
+let scratch_differential (module P : Consensus.Proto.S) ~inputs ~depth ~crashes ~cap name =
   let module M = Model.Machine.Make (P.I) in
   let n = Array.length inputs in
   let root =
     M.make ~record_trace:false ~n (fun pid -> P.proc ~n ~pid ~input:inputs.(pid))
   in
   let fuel = 2000 in
+  let memo = M.Scratch.memo () in
+  let memo_calls = ref 0 in
+  let persistent cfg pid =
+    let pc, solo = M.run_solo ~fuel ~pid cfg in
+    let pc =
+      List.fold_left (fun c q -> fst (M.run_solo ~fuel ~pid:q c)) pc (M.running pc)
+    in
+    { solo; running = M.running pc; decisions = M.decisions pc }
+  in
+  (* [first] runs [pid] before the chain proper: a second run of the same
+     process in one workspace *)
+  let scratch ?first run cfg pid =
+    let s = M.Scratch.of_config cfg in
+    Option.iter (fun f -> ignore (run ~fuel:f ~pid s)) first;
+    let solo = run ~fuel ~pid s in
+    List.iter (fun q -> ignore (run ~fuel ~pid:q s)) (M.Scratch.running s);
+    { solo; running = M.Scratch.running s; decisions = M.Scratch.decisions s }
+  in
+  let plain ~fuel ~pid s = M.Scratch.run_solo ~fuel ~pid s in
+  let memoized ~fuel ~pid s =
+    incr memo_calls;
+    M.Scratch.run_solo_memo memo ~fuel ~pid s
+  in
+  let check what pid (want : int chain) (got : int chain) =
+    let label s = Printf.sprintf "%s: %s, pid %d: %s" name what pid s in
+    Alcotest.(check (option int)) (label "solo decision") want.solo got.solo;
+    Alcotest.(check (list int)) (label "running set after chain") want.running got.running;
+    Alcotest.(check (list (pair int int)))
+      (label "decisions after chain") want.decisions got.decisions
+  in
   let count = ref 0 in
-  let rec go d cfg =
+  let rec go d budget cfg =
     if !count < cap then begin
       incr count;
       List.iter
         (fun pid ->
-          (* single solo run *)
-          let pc, pdec = M.run_solo ~fuel ~pid cfg in
-          let s = M.Scratch.of_config cfg in
-          let sdec = M.Scratch.run_solo ~fuel ~pid s in
-          Alcotest.(check (option int))
-            (Printf.sprintf "%s: solo decision of pid %d" name pid)
-            pdec sdec;
-          (* full probe chain: finish every remaining process solo *)
-          let pc =
-            List.fold_left (fun c q -> fst (M.run_solo ~fuel ~pid:q c)) pc (M.running pc)
-          in
-          List.iter
-            (fun q -> ignore (M.Scratch.run_solo ~fuel ~pid:q s))
-            (M.Scratch.running s);
-          Alcotest.(check (list int))
-            (name ^ ": running set after probe chain")
-            (M.running pc) (M.Scratch.running s);
-          Alcotest.(check (list (pair int int)))
-            (name ^ ": decisions after probe chain")
-            (M.decisions pc)
-            (M.Scratch.decisions s))
+          let want = persistent cfg pid in
+          check "plain scratch" pid want (scratch plain cfg pid);
+          check "memoized scratch" pid want (scratch memoized cfg pid);
+          check "memoized, same pid twice" pid
+            (scratch ~first:1 plain cfg pid)
+            (scratch ~first:1 memoized cfg pid))
         (M.running cfg);
-      if d > 0 then List.iter (fun pid -> go (d - 1) (M.step cfg pid)) (M.running cfg)
+      if d > 0 then begin
+        List.iter (fun pid -> go (d - 1) budget (M.step cfg pid)) (M.running cfg);
+        if budget > 0 then
+          List.iter
+            (fun pid -> go (d - 1) (budget - 1) (M.crash_recover cfg pid))
+            (M.crashable cfg)
+      end
     end
   in
-  go depth root
+  go depth crashes root;
+  let hits = !memo_calls - M.Scratch.memo_size memo in
+  Alcotest.(check bool) (name ^ ": the shared memo was hit") true (hits > 0)
 
+(* Every registry row, recoverable ([rc-]) rows included, with
+   crash–recover successors; the [multi-*] rows exercise multi-location
+   steps. *)
 let test_scratch_vs_persistent () =
   List.iter
     (fun (row : Hierarchy.row) ->
-      scratch_differential row.protocol ~inputs:[| 0; 1 |] ~depth:3 ~cap:60 row.id)
-    (Hierarchy.rows ())
+      scratch_differential row.protocol ~inputs:[| 0; 1 |] ~depth:5 ~crashes:1 ~cap:300
+        row.id)
+    (Hierarchy.rows ~recovery:true ())
+
+(* Locations at or past 2^16 live in the scratch workspace's overflow
+   table, not its dense array.  Each process reads location 70,000, decides
+   what it finds there, or else writes its input there and decides that. *)
+let far = 70_000
+
+module Far = struct
+  module I = Isets.Rw
+
+  let name = "far-location"
+  let locations ~n:_ = None
+
+  let proc ~n:_ ~pid:_ ~input =
+    let open Model.Proc.Syntax in
+    let* v = Isets.Rw.read far in
+    match v with
+    | Model.Value.Int w -> Model.Proc.return w
+    | _ ->
+      let* () = Isets.Rw.write far (Model.Value.Int input) in
+      Model.Proc.return input
+end
+
+let test_scratch_overflow () =
+  scratch_differential (module Far) ~inputs:[| 3; 5 |] ~depth:4 ~crashes:1 ~cap:200 "far";
+  let module M = Model.Machine.Make (Far.I) in
+  let root =
+    M.make ~record_trace:false ~n:2 (fun pid -> Far.proc ~n:2 ~pid ~input:(3 + (2 * pid)))
+  in
+  let memo = M.Scratch.memo () in
+  let first = M.Scratch.of_config root in
+  Alcotest.(check (option int)) "miss decides" (Some 3)
+    (M.Scratch.run_solo_memo memo ~pid:0 first);
+  let again = M.Scratch.of_config root in
+  Alcotest.(check (option int)) "hit decides" (Some 3)
+    (M.Scratch.run_solo_memo memo ~pid:0 again);
+  Alcotest.(check int) "the second run was a hit" 1 (M.Scratch.memo_size memo);
+  (* pid 1 reads location 70,000 only through the replayed write *)
+  Alcotest.(check (option int)) "hit replayed the overflow write" (Some 3)
+    (M.Scratch.run_solo ~pid:1 again);
+  Alcotest.(check (list (pair int int)))
+    "decisions after the hit" [ (0, 3); (1, 3) ] (M.Scratch.decisions again)
 
 (* A process that never decides (spins waiting for a write that cannot
    arrive solo) must be classified identically by both implementations. *)
@@ -624,6 +697,7 @@ let () =
           Alcotest.test_case "probe differential over registry" `Slow
             test_scratch_vs_persistent;
           Alcotest.test_case "undecided classification" `Quick test_scratch_undecided;
+          Alcotest.test_case "overflow locations" `Quick test_scratch_overflow;
         ] );
       ( "engines",
         [
