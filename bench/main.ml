@@ -485,11 +485,11 @@ let randomized () =
 (* ---------------------------------------------------------------- MC -- *)
 
 (* Model-checking engines head-to-head: the naive full-tree walk vs the
-   fingerprint-memoized walk vs the parallel frontier, over depth × n for a
-   few representative protocols.  Memo visits fewer configurations by
-   design, so the honest work-rate comparison is the *effective* rate:
-   naive's configuration count divided by each engine's wall-clock (the
-   speedup column is exactly the elapsed-time ratio).  Results go to
+   fingerprint-memoized walk, over depth × n for a few representative
+   protocols.  Memo visits fewer configurations by design, so the honest
+   work-rate comparison is the *effective* rate: naive's configuration
+   count divided by each engine's wall-clock (the speedup column is
+   exactly the elapsed-time ratio).  Results go to
    BENCH_modelcheck.json as {!Campaign.Record} lists — the same schema the
    campaign store persists, so bench and campaign outputs share tooling. *)
 
@@ -521,7 +521,7 @@ let write_json file json =
   Printf.printf "\nwrote %s\n" file
 
 let mc ?(smoke = false) () =
-  section "MC: model-checking engines — naive vs memoized vs parallel";
+  section "MC: model-checking engines — naive vs memoized";
   let protos =
     [
       ("rw", Consensus.Rw_protocol.protocol);
@@ -531,14 +531,7 @@ let mc ?(smoke = false) () =
     ]
   in
   let sweeps = if smoke then [ (2, 6) ] else [ (2, 10); (3, 8) ] in
-  let engines =
-    [
-      ("naive", `Naive);
-      ("memo", `Memo);
-      ("parallel-2", `Parallel 2);
-      ("parallel-4", `Parallel 4);
-    ]
-  in
+  let engines = [ ("naive", `Naive); ("memo", `Memo) ] in
   (* Timing rows are best-of-[reps]: one core, noisy neighbours — counters
      are identical across repetitions, only the wall clock varies, and the
      minimum is the closest to the engine's true cost.  Rows that finish in
@@ -548,7 +541,6 @@ let mc ?(smoke = false) () =
   let reps = if smoke then 2 else 3 in
   let max_reps = if smoke then 8 else 64 in
   let min_total = 0.1 in
-  let cores = Domain.recommended_domain_count () in
   let records = ref [] in
   Printf.printf "%-10s %-3s %-5s %-11s %10s %8s %10s %10s %12s %8s  %s\n" "protocol" "n"
     "depth" "engine" "configs" "dedup" "elapsed_s" "cfg/s" "eff_cfg/s" "speedup"
@@ -559,7 +551,6 @@ let mc ?(smoke = false) () =
         (fun (pname, proto) ->
           let inputs = Array.init n (fun i -> i) in
           let naive_elapsed = ref 0.0 and naive_configs = ref 0 in
-          let memo_elapsed = ref 0.0 in
           List.iter
             (fun (ename, engine) ->
               let record ~status ~stats ~extra =
@@ -589,7 +580,6 @@ let mc ?(smoke = false) () =
                   naive_elapsed := s.Explore.elapsed;
                   naive_configs := s.Explore.configs
                 end;
-                if engine = `Memo then memo_elapsed := s.Explore.elapsed;
                 let elapsed = Float.max s.Explore.elapsed 1e-6 in
                 let rate = float_of_int s.Explore.configs /. elapsed in
                 let eff_rate = float_of_int !naive_configs /. elapsed in
@@ -604,28 +594,6 @@ let mc ?(smoke = false) () =
                     ("effective_configs_per_sec", Campaign.Json.Float eff_rate);
                     ("speedup_vs_naive", Campaign.Json.Float speedup);
                   ]
-                in
-                let extra =
-                  match engine with
-                  | `Parallel k ->
-                    (* Efficiency normalizes the naive-relative speedup by
-                       the parallelism the host can actually grant: on a
-                       [cores]-core box, domains beyond [cores] timeshare
-                       one core and cannot add speedup, so dividing by the
-                       raw domain count would measure the OS scheduler,
-                       not the engine.  [overhead_vs_memo] keeps the
-                       sequential comparison honest alongside it. *)
-                    extra
-                    @ [
-                        ("domains", Campaign.Json.Int k);
-                        ( "parallel_efficiency",
-                          Campaign.Json.Float
-                            (speedup /. float_of_int (Stdlib.min k cores)) );
-                        ( "overhead_vs_memo",
-                          Campaign.Json.Float
-                            (elapsed /. Float.max !memo_elapsed 1e-6) );
-                      ]
-                  | _ -> extra
                 in
                 record ~status:Campaign.Record.Verified ~stats:s ~extra
               | Explore.Timed_out t ->
@@ -864,7 +832,7 @@ let red ?(smoke = false) () =
    protocols (known-broken by Theorems 4.1/5.1), and report the witness each
    engine finds, how far shrinking got, and whether the shrunk schedule
    replays to the same violation. *)
-let witnesses ?(smoke = false) () =
+let witnesses () =
   section "WIT: counterexample witnesses — capture, shrink, replay";
   let victims =
     [
@@ -878,10 +846,7 @@ let witnesses ?(smoke = false) () =
         8 );
     ]
   in
-  let engines =
-    if smoke then [ ("naive", `Naive); ("memo", `Memo) ]
-    else [ ("naive", `Naive); ("memo", `Memo); ("parallel-2", `Parallel 2) ]
-  in
+  let engines = [ ("naive", `Naive); ("memo", `Memo) ] in
   Printf.printf "%-14s %-11s %-20s %8s %8s %9s %8s\n" "victim" "engine" "kind" "found"
     "shrunk" "attempts" "replays";
   List.iter
@@ -936,7 +901,7 @@ let crash_bench ~smoke () =
         String.length r.id >= 3 && String.sub r.id 0 3 = "rc-")
       (Hierarchy.rows ~recovery:true ())
   in
-  let engines = [ ("naive", `Naive); ("memo", `Memo); ("parallel-2", `Parallel 2) ] in
+  let engines = [ ("naive", `Naive); ("memo", `Memo) ] in
   let budgets_of ename = if smoke || ename <> "memo" then [ 0; 1 ] else [ 0; 1; 2 ] in
   let depth_of id = if id = "rc-cas" then 14 else 10 in
   let n = 2 in
@@ -1362,7 +1327,7 @@ let sections : (string * (smoke:bool -> unit)) list =
     ("MC", fun ~smoke -> mc ~smoke ());
     ("OBS", fun ~smoke -> obs ~smoke ());
     ("RED", fun ~smoke -> red ~smoke ());
-    ("WIT", fun ~smoke -> witnesses ~smoke ());
+    ("WIT", fun ~smoke:_ -> witnesses ());
     ("CRASH", fun ~smoke -> crash_bench ~smoke ());
     ("CAMP", fun ~smoke -> campaign_bench ~smoke ());
     ("LINT", fun ~smoke -> lint_bench ~smoke ());

@@ -64,29 +64,16 @@ let run_cmd =
     Term.(ret (const run $ ells_arg $ row_arg $ n_arg $ seed_arg $ prefix_arg))
 
 let modelcheck_cmd =
-  let run ells id n depth everywhere engine domains trace no_shrink reduce force timeout
-      observe crashes =
+  let run ells id n depth everywhere engine trace no_shrink reduce force timeout observe
+      crashes =
     with_row ells id (fun row ->
         let inputs =
           if row.binary_only then Array.init n (fun i -> i land 1)
           else Array.init n (fun i -> i mod n)
         in
         let probe = if everywhere then `Everywhere else `Leaves in
-        let engine =
-          match engine with
-          | "naive" -> Ok `Naive
-          | "memo" -> Ok `Memo
-          | "parallel" -> Ok (`Parallel domains)
-          | e -> Error (Printf.sprintf "unknown engine %S (naive|memo|parallel)" e)
-        in
-        let reduce =
-          match reduce with
-          | "none" -> Ok Explore.no_reduction
-          | "commute" -> Ok { Explore.commute = true; symmetric = false }
-          | "symmetric" -> Ok { Explore.commute = false; symmetric = true }
-          | "full" -> Ok Explore.full_reduction
-          | r -> Error (Printf.sprintf "unknown reduction %S (none|commute|symmetric|full)" r)
-        in
+        let engine = Campaign.Spec.engine_of_string engine in
+        let reduce = Campaign.Spec.reduction_of_string reduce in
         let notify_symmetry verdict =
           Format.printf "symmetry certificate: %a%s@." Analysis.Symmetry.pp_verdict
             verdict
@@ -178,12 +165,11 @@ let modelcheck_cmd =
     Arg.(value & flag & info [ "everywhere" ] ~doc)
   in
   let engine_arg =
-    let doc = "Exploration engine: naive, memo, or parallel." in
+    let doc =
+      "Exploration engine: naive (every schedule) or memo (a transposition table \
+       explores each configuration's subtree once)."
+    in
     Arg.(value & opt string "memo" & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
-  let domains_arg =
-    let doc = "Worker domains for --engine=parallel." in
-    Arg.(value & opt int 2 & info [ "domains" ] ~docv:"K" ~doc)
   in
   let trace_arg =
     let doc = "On a violation, print the replayed event trace of the witness." in
@@ -247,8 +233,8 @@ let modelcheck_cmd =
     Term.(
       ret
         (const run $ ells_arg $ row_arg $ n_arg $ depth_arg $ everywhere_arg $ engine_arg
-       $ domains_arg $ trace_arg $ no_shrink_arg $ reduce_arg $ force_arg $ timeout_arg
-       $ observe_arg $ crashes_arg))
+       $ trace_arg $ no_shrink_arg $ reduce_arg $ force_arg $ timeout_arg $ observe_arg
+       $ crashes_arg))
 
 let lint_cmd =
   let run ells ns ids strict json cfg selftest mutants recovery =
@@ -821,7 +807,7 @@ let campaign_cmd =
   let ns_arg = opt_ints "ns" "N1,…" "Process counts in the grid." in
   let depths_arg = opt_ints "depths" "D1,…" "Exploration depths in the grid." in
   let engines_arg =
-    let doc = "Engines in the grid: naive, memo, parallel or parallel-<k>." in
+    let doc = "Engines in the grid: naive or memo." in
     Arg.(value & opt (some (list string)) None & info [ "engines" ] ~docv:"E1,…" ~doc)
   in
   let reduces_arg =

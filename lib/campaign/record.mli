@@ -30,7 +30,10 @@ type t = {
   protocol : string;  (** protocol name *)
   n : int;
   depth : int;        (** exploration depth, or schedule-prefix length *)
-  engine : string;    (** ["naive"], ["memo"], ["parallel-k"], ["driver"] *)
+  engine : string;
+      (** ["naive"], ["memo"], ["driver"]; stores written before the
+          parallel engine was removed also hold ["parallel-k"], read back
+          and rendered like any other name *)
   reduce : string;    (** ["none"], ["commute"], ["symmetric"], ["full"] *)
   observers : string list;
       (** observer names the check ran under ({!Task.t.observe}); [[]]

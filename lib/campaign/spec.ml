@@ -47,18 +47,20 @@ let smoke =
     stress_prefix = 64;
   }
 
+(* Specs written for the deleted parallel engine name it "parallel" or
+   "parallel-<k>"; they get a pointer to its replacement, not a bare
+   "unknown engine". *)
 let engine_of_string s =
   match s with
   | "naive" -> Ok `Naive
   | "memo" -> Ok `Memo
-  | "parallel" -> Ok (`Parallel 2)
-  | _ ->
-    (match String.index_opt s '-' with
-     | Some i when String.sub s 0 i = "parallel" ->
-       (match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-        | Some k when k >= 1 -> Ok (`Parallel k)
-        | _ -> Error (Printf.sprintf "bad domain count in engine %S" s))
-     | _ -> Error (Printf.sprintf "unknown engine %S (naive|memo|parallel[-k])" s))
+  | _ when s = "parallel" || String.starts_with ~prefix:"parallel-" s ->
+    Error
+      (Printf.sprintf
+         "engine %S: the parallel engine was removed; use memo (campaign --domains \
+          runs whole tasks in parallel)"
+         s)
+  | _ -> Error (Printf.sprintf "unknown engine %S (naive|memo)" s)
 
 let reduction_of_string = function
   | "none" -> Ok Explore.no_reduction

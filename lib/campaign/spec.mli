@@ -45,7 +45,9 @@ val smoke : t
     wide enough to cover the full Table 1 registry. *)
 
 val engine_of_string : string -> (Explore.engine, string) result
-(** ["naive"], ["memo"], ["parallel"] or ["parallel-<k>"]. *)
+(** ["naive"] or ["memo"].  ["parallel"] and ["parallel-<k>"], the names of
+    the removed parallel engine, are an [Error] naming [memo] as its
+    replacement (the executor's domains run whole tasks in parallel). *)
 
 val reduction_of_string : string -> (Explore.reduction, string) result
 (** ["none"], ["commute"], ["symmetric"], ["full"]. *)

@@ -47,10 +47,7 @@ let stress ?(solo_fuel = 100_000) ?(fuel = 50_000_000) ~seed ~prefix ~max_burst 
     work = Stress { seed; prefix; max_burst; fuel };
   }
 
-let engine_name = function
-  | `Naive -> "naive"
-  | `Memo -> "memo"
-  | `Parallel k -> Printf.sprintf "parallel-%d" k
+let engine_name = function `Naive -> "naive" | `Memo -> "memo"
 
 let reduce_name (r : Explore.reduction) =
   match (r.commute, r.symmetric) with

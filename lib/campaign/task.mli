@@ -72,7 +72,9 @@ val stress :
   t
 
 val engine_name : Explore.engine -> string
-(** ["naive"], ["memo"], ["parallel-k"]. *)
+(** ["naive"], ["memo"]: the [engine] string of the task's {!Record.t}
+    and part of its {!fingerprint}, so an engine's store addresses never
+    change. *)
 
 val reduce_name : Explore.reduction -> string
 (** ["none"], ["commute"], ["symmetric"], ["full"]. *)

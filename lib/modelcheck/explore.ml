@@ -1,20 +1,21 @@
 (* The exploration engines behind [run], and the bivalence walk behind
    [decidable_values].
 
-   Three engines share one DFS core, and so does the bivalence walk:
+   Two engines share one DFS core, and so does the bivalence walk:
    - [`Naive] is the original depth-first walk of every schedule.
-   - [`Memo] adds a transposition table ([Transposition]) keyed on the
-     two-word [Machine.fingerprint_words]: configurations reached by
-     permuting independent (commuting) steps coincide and their subtrees
-     are explored once.  Entries are claim lists remembering the remaining
-     depths (and sleep sets) already explored from that configuration, so a
-     revisit is pruned when covered — and only {e partially} re-explored
-     when a prior pass covered the depth from an incomparable sleep set.
-   - [`Parallel k] grows a sequential BFS prefix until the frontier is wide
-     enough to share, then [k] domains drain the frontier from a shared
-     work queue in batches, all updating one {e shared, sharded}
-     transposition table — work one domain claims is never repeated by
-     another, which is what domain-local tables used to do.
+   - [`Memo] adds a transposition table ([Transposition], in its unlocked
+     single-shard mode; the locked mode is kept only for the benchmark's
+     shadow walk in [perfbench/shadow.ml]) keyed on the two-word
+     [Machine.fingerprint_words]: configurations reached by permuting
+     independent (commuting) steps coincide and their subtrees are explored
+     once.  Entries are claim lists remembering the remaining depths (and
+     sleep sets) already explored from that configuration, so a revisit is
+     pruned when covered — and only {e partially} re-explored when a prior
+     pass covered the depth from an incomparable sleep set.
+
+   Both are sequential.  Multicore work lives above the engines, where it
+   pays: the campaign executor's domains and the worker fleet run whole
+   tasks independently.
 
    Fingerprints are read off the machine's incrementally maintained
    two-lane digest (O(1) per configuration).  The tests check the partition
@@ -67,7 +68,7 @@
      run processes beyond the certified depth, so for probe-heavy runs the
      certificate is strong evidence rather than proof. *)
 
-type engine = [ `Naive | `Memo | `Parallel of int ]
+type engine = [ `Naive | `Memo ]
 type probe_policy = [ `Leaves | `Everywhere | `Never ]
 
 type reduction = { commute : bool; symmetric : bool }
@@ -216,8 +217,7 @@ exception Violation of witness
    here, once. *)
 let observer_set = function [] -> Observer.defaults | set -> set
 
-(* Mutable per-run counters, shared by all engines (each parallel worker
-   gets its own and they are merged at the end). *)
+(* Mutable per-run counters, shared by both engines. *)
 type counters = {
   mutable configs : int;
   mutable probes : int;
@@ -227,13 +227,6 @@ type counters = {
 }
 
 let fresh () = { configs = 0; probes = 0; truncated = false; hits = 0; sleeps = 0 }
-
-let merge into c =
-  into.configs <- into.configs + c.configs;
-  into.probes <- into.probes + c.probes;
-  into.truncated <- into.truncated || c.truncated;
-  into.hits <- into.hits + c.hits;
-  into.sleeps <- into.sleeps + c.sleeps
 
 let stats_of c ~elapsed =
   {
@@ -362,25 +355,17 @@ module Run (P : Consensus.Proto.S) = struct
     if reduce.symmetric then M.canonical_fingerprint_words ~inputs
     else M.fingerprint_words
 
-  (* Interned-op independence for the sleep-set filter: each domain interns
-     the ops it encounters to dense ids ([Model.Intern]) and keeps an
-     eagerly filled commutation bit-matrix over the ids, so the repeated
-     question "do these two poised accesses commute?" is two array loads
-     instead of a structural match per query.  The closure owns its table —
-     create one per domain (intern tables are not thread-safe).
+  (* Interned-op independence for the sleep-set filter: the walk interns
+     the ops it meets to dense ids ([Model.Intern]) and keeps a commutation
+     bit-matrix over the ids, filled by [P.I.commutes] for each new op as it
+     is interned, so the repeated question "do these two poised accesses
+     commute?" is two array loads instead of a structural match per query.
+     The closure owns its table — create one per walk.
 
      [indep cfg p q]: whether the atomic steps [p] and [q] are poised at
      are independent — every pair of accesses is to distinct locations or
-     commutes on the shared one.  Only meaningful when both are poised.
-
-     [seed] pre-interns the ops the protocol statically issues (the CFG
-     summary of {!Analysis.Absint.Issued}), so the matrix starts
-     protocol-restricted and complete instead of growing lazily
-     mid-exploration.  Purely a warm start: an op the seed missed still
-     interns lazily, and every entry is computed by the same [P.I.commutes],
-     so the independence relation — and hence the explored configuration
-     set — is identical with or without it. *)
-  let make_independent ?(seed = []) () =
+     commutes on the shared one.  Only meaningful when both are poised. *)
+  let make_independent () =
     let module OI = Model.Intern.Poly (struct
       type t = P.I.op
     end) in
@@ -414,7 +399,6 @@ module Run (P : Consensus.Proto.S) = struct
       i
     in
     let commutes_id i j = Bytes.get !mat ((i * !cap) + j) = '\001' in
-    List.iter (fun o -> ignore (op_id o)) seed;
     fun cfg p q ->
       match (M.poised cfg p, M.poised cfg q) with
       | Some ap, Some aq ->
@@ -424,18 +408,6 @@ module Run (P : Consensus.Proto.S) = struct
             List.for_all (fun (l2, o2) -> l1 <> l2 || commutes_id i1 (op_id o2)) aq)
           ap
       | _ -> false
-
-  (* The ops this protocol statically issues at these inputs, from the CFG
-     issued-op summary — the [seed] for {!make_independent}.  Only computed
-     when the sleep-set filter will actually consult the matrix; any failure
-     of the static analysis degrades to the unseeded lazy path. *)
-  let static_ops ~reduce ~inputs =
-    if not reduce.commute then []
-    else
-      let module S = Analysis.Absint.Issued (P) in
-      let n = Array.length inputs in
-      (try S.ops ~n ~inputs:(List.sort_uniq compare (Array.to_list inputs))
-       with _ -> [])
 
   (* The sibling loop shared by full visits and partial revisits.  [inter]
      restricts which transitions still need exploring: a pid outside it was
@@ -505,8 +477,8 @@ module Run (P : Consensus.Proto.S) = struct
   let crash_truncated ~crash_budget cfg =
     crash_budget > 0 && M.crashes cfg < crash_budget && M.crashable cfg <> []
 
-  (* The DFS core all engines share.  [stop] aborts cooperatively (parallel
-     mode); [path] seeds the schedule of every witness found below [cfg].
+  (* The DFS core both engines share.  [stop] aborts cooperatively (the
+     deadline); [path] seeds the schedule of every witness found below [cfg].
 
      [sleep] is the sleep set: pids whose subtrees here are already covered
      by an equivalent interleaving explored at a sibling.  Sleeping pids are
@@ -525,8 +497,8 @@ module Run (P : Consensus.Proto.S) = struct
      the rest of the per-configuration work.  The bivalence walk collects
      its values through it.
 
-     [memo] is the walk's solo-segment memo ([M.Scratch.memo]): one per
-     walk and per domain, never shared across domains. *)
+     [memo] is the walk's solo-segment memo ([M.Scratch.memo]), one per
+     walk. *)
   let dfs ?(on_visit = fun _ _ -> ()) ~reduce ~crash_budget ~probe ~solo_fuel ~memo ~table
       ~fpw ~indep ~stop ~obs c cfg depth path =
     let rec go cfg d path sleep obs =
@@ -568,157 +540,6 @@ module Run (P : Consensus.Proto.S) = struct
       else crash_children ~crash_budget ~go cfg d path obs
     in
     go cfg depth path 0 obs
-
-  let no_stop () = false
-
-  (* Parallel frontier: a sequential BFS prefix visits the shallow
-     configurations (so their checks and `Everywhere probes still run
-     exactly once), then the unvisited frontier is drained by [domains]
-     workers from a shared queue in batches.  Each frontier item carries its
-     schedule prefix so workers report full witnesses.
-
-     All workers share one sharded transposition table: a subtree one
-     domain claims is never re-explored by another (domain-local tables
-     used to repeat that work), and the shard locks — selected by the
-     fingerprint's low bits — almost never contend.  Claims are optimistic
-     (inserted before the subtree is walked); that is sound here because
-     every worker joins before a verdict is produced, so a claim whose
-     exploration was cut short can only coexist with a [Falsified] or
-     [Timed_out] verdict, never launder an incomplete [Completed]. *)
-  let parallel ~reduce ~crash_budget ~domains ~probe ~solo_fuel ~inputs ~past ~obs c root
-      depth =
-    let fpw = fingerprint_words_fn ~reduce ~inputs in
-    let domains = max 1 domains in
-    let target = max 16 (4 * domains) in
-    let memo = M.Scratch.memo () in
-    (* each level is deduped by transposition key as it is built, so a
-       configuration reached along several prefix paths is counted, checked
-       and probed once and each duplicate counts as a hit, as under [`Memo] *)
-    let rec prefix level d =
-      if d <= 0 || List.length level >= target then (level, d)
-      else begin
-        let seen = Hashtbl.create 64 in
-        let fresh (_, cfg, obs) =
-          let h = obs_key obs (fpw cfg) in
-          let dup = Hashtbl.mem seen h in
-          if dup then c.hits <- c.hits + 1 else Hashtbl.add seen h ();
-          not dup
-        in
-        let next =
-          List.concat_map
-            (fun (path, cfg, obs) ->
-              if past () then raise Stop;
-              c.configs <- c.configs + 1;
-              obs_check ~path ~probe:None obs;
-              let stepped =
-                if M.running_count cfg = 0 then []
-                else begin
-                  let running = M.running cfg in
-                  if probe = `Everywhere && Observer.Run.wants_probes obs then
-                    List.iter (obs_probe_one ~memo ~solo_fuel ~path c cfg obs) running;
-                  List.map
-                    (fun pid ->
-                      let cfg' = M.step cfg pid in
-                      (pid :: path, cfg', obs_step obs cfg pid cfg'))
-                    running
-                end
-              in
-              let crashed =
-                if crash_budget > 0 && M.crashes cfg < crash_budget then
-                  List.map
-                    (fun pid -> (crash_code pid :: path, M.crash_recover cfg pid, obs))
-                    (M.crashable cfg)
-                else []
-              in
-              List.filter fresh (stepped @ crashed))
-            level
-        in
-        if next = [] then ([], d - 1) else prefix next (d - 1)
-      end
-    in
-    let frontier, d = prefix [ ([], root, obs) ] depth in
-    let items = Array.of_list frontier in
-    let len = Array.length items in
-    (* Batching the work queue: a worker claims a run of consecutive items
-       per fetch-and-add, so domains stop hitting the shared counter on
-       every item.  Small frontiers degenerate to batch 1 (maximal load
-       balance); the cap keeps one slow batch from starving the rest. *)
-    let batch = Stdlib.max 1 (Stdlib.min 16 (len / (domains * 8))) in
-    let table = Some (Transposition.create ~concurrent:true ()) in
-    (* computed once, outside the domains: each worker's matrix is its own,
-       but the static summary is shared *)
-    let seed = static_ops ~reduce ~inputs in
-    let next_item = Atomic.make 0 in
-    let stopped = Atomic.make false in
-    let timed = Atomic.make false in
-    let mu = Mutex.create () in
-    let errors = ref [] in
-    let worker_counters = ref [] in
-    let worker () =
-      (* Enlarge this domain's minor heap (4M words): every minor
-         collection in OCaml 5 is a stop-the-world handshake across all
-         domains, and on an oversubscribed host each handshake can cost a
-         scheduling quantum — fewer, larger collections roughly halve the
-         engine's wall clock when domains exceed cores. *)
-      Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 22 };
-      let wc = fresh () in
-      let indep = make_independent ~seed () in
-      let memo = M.Scratch.memo () in
-      (* the deadline stops a worker exactly like a sibling's violation does;
-         [timed] remembers which of the two it was *)
-      let stop () =
-        Atomic.get stopped
-        ||
-        if past () then begin
-          Atomic.set timed true;
-          true
-        end
-        else Atomic.get timed
-      in
-      let item i =
-        let path, cfg, obs = items.(i) in
-        match
-          dfs ~reduce ~crash_budget ~probe ~solo_fuel ~memo ~table ~fpw ~indep ~stop ~obs wc
-            cfg d path
-        with
-        | () -> ()
-        | exception Violation w ->
-          Mutex.lock mu;
-          errors := (i, w) :: !errors;
-          Mutex.unlock mu;
-          Atomic.set stopped true
-        | exception Stop -> ()
-      in
-      let rec loop () =
-        if not (Atomic.get stopped || Atomic.get timed) then begin
-          let i0 = Atomic.fetch_and_add next_item batch in
-          if i0 < len then begin
-            let hi = Stdlib.min len (i0 + batch) in
-            let rec batch_loop i =
-              if i < hi && not (Atomic.get stopped || Atomic.get timed) then begin
-                item i;
-                batch_loop (i + 1)
-              end
-            in
-            batch_loop i0;
-            loop ()
-          end
-        end
-      in
-      loop ();
-      Mutex.lock mu;
-      worker_counters := wc :: !worker_counters;
-      Mutex.unlock mu
-    in
-    let doms = List.init domains (fun _ -> Domain.spawn worker) in
-    List.iter Domain.join doms;
-    List.iter (merge c) !worker_counters;
-    (* Report the violation of the earliest frontier item that found one,
-       so the witness is as deterministic as the work split allows.  A
-       violation outranks the deadline: it is real partial evidence. *)
-    match List.sort compare !errors with
-    | (_, w) :: _ -> raise (Violation w)
-    | [] -> if Atomic.get timed then raise Stop
 
   exception Invalid_schedule
 
@@ -908,8 +729,7 @@ module Run (P : Consensus.Proto.S) = struct
     dfs ~on_visit ~reduce ~crash_budget ~probe:`Everywhere ~solo_fuel ~memo
       ~table:(Some (Transposition.create ~concurrent:false ()))
       ~fpw:(fingerprint_words_fn ~reduce ~inputs)
-      ~indep:(make_independent ~seed:(static_ops ~reduce ~inputs) ())
-      ~stop ~obs c cfg depth [];
+      ~indep:(make_independent ()) ~stop ~obs c cfg depth [];
     List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) seen [])
 end
 
@@ -917,10 +737,10 @@ end
    bounded and cached, and billing it to the engine would make the same task
    time out on a cold cache but complete on a warm one. *)
 let past_of ~t0 = function
-  | None -> None
+  | None -> fun () -> false
   | Some d ->
     let at = t0 +. d in
-    Some (fun () -> Unix.gettimeofday () > at)
+    fun () -> Unix.gettimeofday () > at
 
 let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive) ?(shrink = true)
     ?(reduce = no_reduction) ?(crashes = 0) ?(force = false) ?notify_symmetry ?deadline
@@ -931,26 +751,20 @@ let run ?(probe = `Leaves) ?(solo_fuel = 100_000) ?(engine = `Naive) ?(shrink = 
   certify_gate ~reduce ~force ~notify:notify_symmetry (module P) ~inputs ~depth;
   let module R = Run (P) in
   let t0 = Unix.gettimeofday () in
-  let past = Option.value (past_of ~t0 deadline) ~default:R.no_stop in
+  let past = past_of ~t0 deadline in
   let c = fresh () in
   let root = R.root_config ~record_trace:false ~inputs in
   let obs = R.obs_make observers ~inputs root in
   let fpw = R.fingerprint_words_fn ~reduce ~inputs in
   let result =
     try
-      let seed = R.static_ops ~reduce ~inputs in
-      (match engine with
-       | `Naive ->
-         R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel ~memo:(R.M.Scratch.memo ())
-           ~table:None ~fpw
-           ~indep:(R.make_independent ~seed ()) ~stop:past ~obs c root depth []
-       | `Memo ->
-         R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel ~memo:(R.M.Scratch.memo ())
-           ~table:(Some (Transposition.create ~concurrent:false ())) ~fpw
-           ~indep:(R.make_independent ~seed ()) ~stop:past ~obs c root depth []
-       | `Parallel k ->
-         R.parallel ~reduce ~crash_budget:crashes ~domains:k ~probe ~solo_fuel ~inputs
-           ~past ~obs c root depth);
+      let table =
+        match engine with
+        | `Naive -> None
+        | `Memo -> Some (Transposition.create ~concurrent:false ())
+      in
+      R.dfs ~reduce ~crash_budget:crashes ~probe ~solo_fuel ~memo:(R.M.Scratch.memo ())
+        ~table ~fpw ~indep:(R.make_independent ()) ~stop:past ~obs c root depth [];
       `Done
     with
     | Violation w -> `Violation w
@@ -989,7 +803,7 @@ let decidable_values ?(solo_fuel = 100_000) ?(shrink = true) ?(reduce = no_reduc
   certify_gate ~reduce ~force ~notify:notify_symmetry (module P) ~inputs ~depth;
   let module R = Run (P) in
   let t0 = Unix.gettimeofday () in
-  let past = Option.value (past_of ~t0 deadline) ~default:R.no_stop in
+  let past = past_of ~t0 deadline in
   let c = fresh () in
   let root = R.root_config ~record_trace:false ~inputs in
   (* the walk checks only the supplied observers (none by default) on top of

@@ -26,24 +26,23 @@
       already covered, so pruning never loses reachable configurations —
       and a revisit whose depth is covered from an incomparable sleep set
       re-explores only the transitions no prior pass stepped.
-    - [`Parallel k] expands a sequential BFS prefix and hands the frontier
-      to [k] domains ([Domain.spawn]) that drain a shared work queue in
-      batches, all updating one shared sharded transposition table — work
-      one domain claims is never repeated by another.
+
+    Both engines are sequential and use {!Transposition}'s unlocked mode
+    (its locked mode is kept only for the benchmark's shadow walk,
+    [perfbench/shadow.ml]); parallelism lives in the campaign executor,
+    which runs whole tasks on a pool of domains.
 
     The transposition table trusts the 126-bit digest: it never compares
     full states, so a [Completed] verdict assumes no two distinct
     configurations the walk meets share a digest.  Solo probes rest on the
-    same assumption: every engine (each parallel worker and the parallel
-    prefix on their own) and the {!decidable_values} walk keep one memo of
-    solo-run segments ({!Model.Machine.Make.Scratch.run_solo_memo}), keyed
-    on the memory's digest lanes and the running process's history lanes,
-    and serve a repeated solo run from it instead of stepping it.
+    same assumption: every engine and the {!decidable_values} walk keep one
+    memo of solo-run segments ({!Model.Machine.Make.Scratch.run_solo_memo}),
+    keyed on the memory's digest lanes and the running process's history
+    lanes, and serve a repeated solo run from it instead of stepping it.
 
     Engines agree on the verdict: [Ok _] vs [Error _], and the violation
-    {!violation_kind}, match across engines on the same protocol/depth (the
-    exact counter-example may differ for [`Parallel]).  Stats differ by
-    design — [`Memo] visits fewer configurations.
+    {!violation_kind}, match across engines on the same protocol/depth.
+    Stats differ by design — [`Memo] visits fewer configurations.
 
     Every engine additionally threads the schedule leading to each
     configuration, so a violation is reported as a structured {!witness}:
@@ -52,7 +51,7 @@
     replay deterministically ({!replay}) and are shrunk to a minimal
     interleaving by delta debugging before being reported. *)
 
-type engine = [ `Naive | `Memo | `Parallel of int ]
+type engine = [ `Naive | `Memo ]
 type probe_policy = [ `Leaves | `Everywhere | `Never ]
 
 type reduction = {
@@ -64,9 +63,11 @@ type reduction = {
           prune redundant transitions but still visit every reachable
           configuration at its shallowest depth, so verdicts, probes and
           decidable-value sets are preserved for {e every} protocol.
-          Composes with any engine; under [`Memo]/[`Parallel] the
+          Composes with either engine; under [`Memo] the
           transposition-table entries carry the sleep set they were explored
-          from and a revisit is only pruned when covered. *)
+          from and a revisit is only pruned when covered.  The commutation
+          matrix behind the filter interns ops lazily, as the walk meets
+          them — no static analysis runs first. *)
   symmetric : bool;
       (** Process-symmetry reduction: key the transposition table on
           {!Model.Machine.Make.canonical_fingerprint}, conflating
@@ -223,7 +224,10 @@ val run :
     [`Leaves]: only where the depth bound cuts the tree off;
     [`Everywhere]: at every configuration; [`Never]) checks that each
     undecided process decides within [solo_fuel] (default 100_000) solo
-    steps and that the resulting decisions agree and are valid.  [reduce]
+    steps and that the resulting decisions agree and are valid.  The fuel
+    is the bound of the obstruction-freedom check: a probe that fails it
+    reports no decision within [solo_fuel] solo steps
+    ({!Observer.Probe_stuck}), not a proof that the process never decides.  [reduce]
     (default {!no_reduction}) layers commutativity and/or symmetry reduction over the
     engine — see {!reduction} for the soundness contract.  With
     [reduce.symmetric] the protocol is first certified pid-symmetric for
@@ -239,7 +243,7 @@ val run :
     over every scheduled step, their verdict is checked at every visited
     configuration, and solo probes run iff the probe policy allows them
     {e and} some observer wants them ({!Observer.S.wants_probes}), feeding
-    each probe's outcome to the set.  Under [`Memo] and [`Parallel] the
+    each probe's outcome to the set.  Under [`Memo] the
     observer digest is folded into the transposition key (a product
     construction), so memoization remains exact; a reduction an observer
     declares unsafe for itself raises {!Observer_unsafe_reduction} unless
@@ -263,7 +267,7 @@ val run :
     fingerprints, counters.
 
     [deadline] (wall-clock seconds; default unbounded) bounds the engine
-    proper: every engine — including each parallel worker — checks it at
+    proper: every engine checks it at
     each visited configuration and returns [Timed_out] with the counters
     accumulated so far instead of running unbounded.  The deadline clock
     starts after the symmetry gate, and a configuration's probes are not

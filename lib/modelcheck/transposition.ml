@@ -1,16 +1,17 @@
-(* Sharded transposition table over two-word configuration fingerprints.
+(* Transposition table over two-word configuration fingerprints.
 
-   One table serves both the sequential [`Memo] engine (a single unlocked
-   shard) and the parallel engine (N locked shards, shard chosen by the
-   fingerprint's low bits so concurrent lookups of distinct states almost
-   never contend).  Entries are {e claim lists}: each claim [(d, S)] records
+   The [`Memo] engine and the bivalence walk use a single unlocked shard
+   ([~concurrent:false]).  The locked, sharded mode ([~concurrent:true],
+   shard chosen by the fingerprint's low bits) served the parallel engine,
+   which is gone; it is kept only because the benchmark's shadow walk
+   ([perfbench/shadow.ml]) still calls [create ~concurrent], and goes with
+   that file.  Entries are {e claim lists}: each claim [(d, S)] records
    one exploration pass through the keyed configuration — "every enabled
    transition outside the sleep set [S] has been (or is being) explored to
    remaining depth [d]".  Claims are inserted before the subtree is walked,
-   matching the sequential engine's historical replace-then-visit order; in
-   the parallel engine this optimistic claim is sound because workers join
-   before a [Completed] verdict is produced, and a stopped run reports
-   [Timed_out]/[Falsified], never a completed exploration.
+   matching the engine's historical replace-then-visit order; a stopped run
+   reports [Timed_out]/[Falsified], never a completed exploration, so a
+   claim whose subtree was cut short never backs a [Completed] verdict.
 
    [plan] implements sleep sets with state matching and partial
    re-exploration (Godefroid's Algorithm 5, generalized to depth-bounded

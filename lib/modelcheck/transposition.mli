@@ -1,14 +1,13 @@
-(** Sharded transposition table over two-word configuration fingerprints.
+(** Transposition table over two-word configuration fingerprints.
 
-    Shared by the [`Memo] engine (one unlocked shard) and the parallel
-    engine (many locked shards, selected by the fingerprint's low bits, so
-    domains looking up distinct states almost never contend on a lock).
+    The [`Memo] engine uses one unlocked shard ([~concurrent:false]).  The
+    locked, sharded mode served the removed parallel engine and is kept
+    only for the benchmark's shadow walk ([perfbench/shadow.ml]).
 
     Entries are {e claim lists}: a claim [(d, S)] records one exploration
     pass — every enabled transition outside the sleep set [S] explored to
     remaining depth [d].  Claims are inserted optimistically, before the
-    subtree is walked; see [transposition.ml] for why that is sound for
-    both engines. *)
+    subtree is walked; see [transposition.ml] for why that is sound. *)
 
 type t
 
@@ -27,7 +26,7 @@ type plan =
 val create : ?shards:int -> concurrent:bool -> unit -> t
 (** [create ~concurrent ()] makes an empty table.  [shards] (rounded up to
     a power of two) defaults to 64 when [concurrent], else 1.  With
-    [concurrent:false] all locking is skipped — the sequential engines'
+    [concurrent:false] all locking is skipped — the engines'
     configuration. *)
 
 val shard_count : t -> int

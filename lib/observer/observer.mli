@@ -9,9 +9,9 @@
     Observers are driven inline by the exploration engines ({!Explore.run}
     [?observers]): no event values are allocated on the hot path — the engine
     calls the monitor's transition functions directly on the step it is
-    already making.  States must be {e immutable} values: the parallel engine
-    shares them across domains, and the memoized engines compare and fold
-    their {!S.digest} into the transposition key.
+    already making.  States must be {e immutable} values: sibling branches
+    of the walk share them, and the memoized engine folds their
+    {!S.digest} into the transposition key.
 
     {2 Soundness contract}
 
@@ -49,8 +49,11 @@ type probe_outcome =
           was run solo once, all decided, and [decisions] is the complete
           decision set of that probe execution ((pid, value) pairs). *)
   | Probe_stuck of { pid : int; fuel : int }
-      (** [pid] did not decide within [fuel] solo steps — an
-          obstruction-freedom violation in the paper's sense. *)
+      (** No decision within [fuel] solo steps: [pid] ran solo for [fuel]
+          steps without deciding.  This is what the checker can observe of
+          obstruction-freedom — a bounded solo run, not a proof that [pid]
+          never decides; a protocol whose solo runs need more than [fuel]
+          steps is reported here too. *)
   | Probe_starved of { pid : int; straggler : int }
       (** [pid] decided solo, but [straggler] remained undecided after its
           own bounded solo run — a termination failure of the probe chain. *)

@@ -133,7 +133,7 @@ let test_gate_passes_certified () =
 
 (* 6. Differential: on certified protocols the symmetric reduction changes
    only the amount of work, never the verdict or the decidable-value set —
-   across all three engines. *)
+   across both engines. *)
 let test_certified_reduction_differential () =
   let protos =
     [
@@ -142,7 +142,7 @@ let test_certified_reduction_differential () =
       ("tug-of-war", Consensus.Tugofwar_protocol.binary, 8);
     ]
   in
-  let engines = [ ("naive", `Naive); ("memo", `Memo); ("parallel", `Parallel 2) ] in
+  let engines = [ ("naive", `Naive); ("memo", `Memo) ] in
   List.iter
     (fun (name, proto, depth) ->
       List.iter

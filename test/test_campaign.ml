@@ -418,6 +418,52 @@ let test_crash_tasks () =
   | Ok ts -> Alcotest.failf "expected 1 task, got %d" (List.length ts)
   | Error e -> Alcotest.fail e
 
+(* The parallel engine was removed: specs naming it get an error pointing
+   at memo, stores holding its records still open and render (a record's
+   engine is a plain string), and memo addresses are unchanged. *)
+let legacy_parallel_record =
+  {|{"task":"0f30ae69443493cc","kind":"check","row":"swap","protocol":"swap-read","n":2,"depth":4,"engine":"parallel-2","reduce":"commute","status":"verified","configs":17,"probes":14,"dedup_hits":4,"sleep_pruned":0,"truncated":true,"elapsed":0.65840983390808105}|}
+
+let test_legacy_parallel_engine () =
+  List.iter
+    (fun name ->
+      match Campaign.Spec.engine_of_string name with
+      | Ok _ -> Alcotest.failf "engine %S still accepted" name
+      | Error e ->
+        Alcotest.(check bool) (name ^ ": error names the replacement") true
+          (contains e "removed" && contains e "memo"))
+    [ "parallel"; "parallel-2"; "parallel-4" ];
+  Alcotest.(check bool) "memo still parses" true
+    (Campaign.Spec.engine_of_string "memo" = Ok `Memo);
+  (* pinned before the removal: memo and naive task addresses are unchanged *)
+  Alcotest.(check string) "memo fingerprint pinned" "2b7a97f3a1a2f660"
+    (Campaign.Task.fingerprint
+       (Campaign.Task.check ~engine:`Memo ~reduce:Explore.no_reduction ~depth:6 (row "swap")
+          ~n:3));
+  (match Campaign.Spec.tasks Campaign.Spec.smoke with
+   | Ok (t :: _) ->
+     Alcotest.(check string) "first smoke task pinned" "00123e3a6b8fb8e7"
+       (Campaign.Task.fingerprint t)
+   | Ok [] -> Alcotest.fail "empty smoke grid"
+   | Error e -> Alcotest.fail e);
+  let dir = temp_dir () in
+  ignore (Campaign.Store.open_ ~dir ());
+  let oc = open_out (Filename.concat dir "results/0f30ae69443493cc.json") in
+  output_string oc legacy_parallel_record;
+  close_out oc;
+  let store = Campaign.Store.open_ ~dir () in
+  match Campaign.Store.find store "0f30ae69443493cc" with
+  | None -> Alcotest.fail "legacy parallel-2 record not indexed"
+  | Some r ->
+    Alcotest.(check string) "engine read back verbatim" "parallel-2" r.Campaign.Record.engine;
+    let report = Campaign.Report.of_store store in
+    Alcotest.(check int) "report counts the record" 0
+      (List.length (Campaign.Report.unexpected report));
+    Alcotest.(check bool) "render shows the row" true
+      (contains (Campaign.Report.render report) "swap");
+    Alcotest.(check bool) "csv keeps the engine name" true
+      (contains (Campaign.Report.to_csv report) "parallel-2")
+
 (* --- store ------------------------------------------------------------- *)
 
 let test_store_roundtrip_and_reopen () =
@@ -1016,6 +1062,8 @@ let () =
           Alcotest.test_case "observed tasks" `Quick test_observed_tasks;
           Alcotest.test_case "crash budgets in tasks, records and specs" `Quick
             test_crash_tasks;
+          Alcotest.test_case "removed parallel engine: specs, stores, addresses" `Quick
+            test_legacy_parallel_engine;
         ] );
       ( "store",
         [

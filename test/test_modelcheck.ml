@@ -200,10 +200,10 @@ let test_stats_shape () =
   Alcotest.(check int) "no probes when `Never" 0 s.probes;
   Alcotest.(check bool) "complete" false s.truncated
 
-(* 9. Differential: the three engines decide the same verdict.  Stats may
+(* 9. Differential: the two engines decide the same verdict.  Stats may
    differ by design (memo visits fewer configurations), so we compare the
    outcome class: Ok, or the violation kind (message prefix up to ':'). *)
-let engines = [ ("naive", `Naive); ("memo", `Memo); ("parallel-2", `Parallel 2) ]
+let engines = [ ("naive", `Naive); ("memo", `Memo) ]
 
 let outcome_class = function
   | Explore.Completed (_ : Explore.stats) -> "ok"
@@ -280,29 +280,6 @@ let test_memo_dedups () =
   Alcotest.(check bool) "memo visits fewer configs" true
     (memo.Explore.configs < naive.Explore.configs);
   Alcotest.(check int) "naive never hits the table" 0 naive.Explore.dedup_hits
-
-(* 10b. The parallel engine's BFS prefix counts what [`Memo] counts: each
-   configuration reached along several prefix paths is visited (counted,
-   checked, probed) once.  At these depths the whole tree lies inside the
-   sequential prefix, so the counts are deterministic. *)
-let test_parallel_counts_match_memo () =
-  List.iter
-    (fun (inputs, depth) ->
-      List.iter
-        (fun (pname, probe) ->
-          let run engine =
-            ok_stats
-              (Explore.run ~probe ~engine Consensus.Rw_protocol.protocol ~inputs ~depth)
-          in
-          let memo = run `Memo and par = run (`Parallel 2) in
-          let label what =
-            Printf.sprintf "rw n=%d d=%d %s: parallel-2 %s" (Array.length inputs) depth
-              pname what
-          in
-          Alcotest.(check int) (label "configs") memo.configs par.configs;
-          Alcotest.(check int) (label "probes") memo.probes par.probes)
-        [ ("leaves", `Leaves); ("everywhere", `Everywhere) ])
-    [ ([| 0; 1 |], 4); ([| 0; 1; 2 |], 3) ]
 
 (* 11. Witnesses: every engine's reported counterexample replays to the
    same violation kind, and shrinking only ever removes steps. *)
@@ -670,8 +647,6 @@ let () =
           Alcotest.test_case "engines agree (broken protocols)" `Quick
             test_engines_agree_broken;
           Alcotest.test_case "memo dedups" `Quick test_memo_dedups;
-          Alcotest.test_case "parallel prefix counts match memo" `Quick
-            test_parallel_counts_match_memo;
           Alcotest.test_case "deepen completes" `Quick test_deepen_completes;
         ] );
       ( "witnesses",

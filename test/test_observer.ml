@@ -3,7 +3,7 @@
    the registry, the reduction-soundness gate, and the allocation cost of
    [Observer.Run]. *)
 
-let engines = [ ("naive", `Naive); ("memo", `Memo); ("parallel-2", `Parallel 2) ]
+let engines = [ ("naive", `Naive); ("memo", `Memo) ]
 
 (* ------------------------------------------------- violating fixtures -- *)
 
@@ -147,6 +147,63 @@ let test_registry_golden () =
           (id ^ ": configs, probes") (configs, probes) (s.configs, s.probes)
       | Explore.Falsified _ | Explore.Timed_out _ -> ())
     rows registry_golden
+
+(* 1b. The same pin under the commutativity reduction: sleep sets prune
+   transitions, never configurations, so verdicts, configs and probes equal
+   the unreduced table's, and dedup hits and sleep prunes are pinned too.
+   Recorded while the commutation matrix was still pre-seeded with the
+   statically issued ops; the matrix now interns every op lazily, and the
+   independence relation — hence every count — is unchanged. *)
+let registry_commute_golden =
+  [
+    ("tas", "ok", 222, 231, 0, 214);
+    ("write1", "ok", 222, 231, 0, 214);
+    ("write01", "ok", 165, 135, 0, 196);
+    ("rw", "ok", 530, 684, 0, 377);
+    ("tas-reset", "ok", 165, 135, 0, 196);
+    ("swap", "ok", 243, 288, 0, 199);
+    ("buffer-1", "ok", 237, 261, 0, 214);
+    ("multi-1", "ok", 237, 261, 0, 214);
+    ("buffer-2", "ok", 540, 726, 0, 355);
+    ("multi-2", "ok", 540, 726, 0, 355);
+    ("increment", "ok", 457, 591, 2, 322);
+    ("fetch-incr", "ok", 547, 729, 0, 366);
+    ("max-register", "ok", 467, 549, 134, 354);
+    ("cas", "ok", 13, 0, 3, 0);
+    ("set-bit", "ok", 2259, 3987, 0, 514);
+    ("add", "ok", 2240, 3930, 19, 514);
+    ("multiply", "ok", 2240, 3930, 19, 514);
+    ("fetch-add", "ok", 6541, 12390, 0, 672);
+    ("fetch-multiply", "ok", 6541, 12390, 0, 672);
+    ("inc-dec", "ok", 593, 873, 6, 308);
+    ("intro-faa2-tas", "ok", 16, 0, 0, 0);
+    ("intro-dec-mul", "ok", 121, 0, 6, 34);
+  ]
+
+let test_registry_commute_golden () =
+  let rows = Hierarchy.rows ~ells:[ 1; 2 ] () in
+  Alcotest.(check (list string))
+    "commute golden table covers the registry"
+    (List.map (fun (id, _, _, _, _, _) -> id) registry_commute_golden)
+    (List.map (fun (row : Hierarchy.row) -> row.id) rows);
+  let reduce = { Explore.commute = true; symmetric = false } in
+  List.iter2
+    (fun (row : Hierarchy.row) (id, verdict, configs, probes, hits, pruned) ->
+      let n = 3 in
+      let inputs =
+        if row.binary_only then Array.init n (fun i -> i land 1)
+        else Array.init n (fun i -> i mod n)
+      in
+      let outcome = run ~engine:`Memo ~reduce row.protocol ~inputs ~depth:8 in
+      Alcotest.(check string) (id ^ ": verdict") verdict (outcome_string outcome);
+      match outcome with
+      | Explore.Completed s ->
+        Alcotest.(check (list int))
+          (id ^ ": configs, probes, dedup_hits, sleep_pruned")
+          [ configs; probes; hits; pruned ]
+          [ s.configs; s.probes; s.dedup_hits; s.sleep_pruned ]
+      | Explore.Falsified _ | Explore.Timed_out _ -> ())
+    rows registry_commute_golden
 
 (* 2. Each built-in observer renders one verdict across engines × its sound
    reductions, on a clean protocol and on the protocol built to violate it.
@@ -395,7 +452,11 @@ let () =
   Alcotest.run "observer"
     [
       ( "golden",
-        [ Alcotest.test_case "registry verdicts at n=3 d=8" `Quick test_registry_golden ] );
+        [
+          Alcotest.test_case "registry verdicts at n=3 d=8" `Quick test_registry_golden;
+          Alcotest.test_case "registry verdicts under commute at n=3 d=8" `Quick
+            test_registry_commute_golden;
+        ] );
       ( "differential",
         [
           Alcotest.test_case "engine x reduction matrix" `Quick

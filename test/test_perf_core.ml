@@ -335,7 +335,7 @@ let test_engine_reduction_differential () =
                 (Printf.sprintf "%s: %s/%s verdict" name ename rname)
                 reference v)
             (reductions_for ~symmetric_ok))
-        [ ("naive", `Naive); ("memo", `Memo); ("parallel-2", `Parallel 2) ])
+        [ ("naive", `Naive); ("memo", `Memo) ])
     protos
 
 (* Broken protocols: the naive and memoized engines must find the same

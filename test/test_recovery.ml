@@ -133,7 +133,7 @@ let test_crash_stop_differential () =
 (* 4. The Golab separation, engine by engine: exhaustive crash-point
    enumeration falsifies rc-tas-naive under a 1-crash budget with a
    replayable, shrunk witness, and certifies rc-cas under the same budget. *)
-let engines = [ ("naive", `Naive); ("memo", `Memo); ("parallel", `Parallel 2) ]
+let engines = [ ("naive", `Naive); ("memo", `Memo) ]
 
 let test_falsify_tas_naive () =
   List.iter
